@@ -74,7 +74,8 @@ def test_update_throughput_under_faults(benchmark, rate):
 def test_partial_query_overhead_under_faults(benchmark, rate):
     federation = build_federation(rate)
     result = benchmark(
-        federation.query, "?.dbI.p(.date=D, .stk=S, .price=P)", partial=True
+        federation.query, "?.dbI.p(.date=D, .stk=S, .price=P)",
+        on_unavailable="partial",
     )
     assert result and result.complete
 

@@ -2,7 +2,7 @@
 
 Question: the effect analysis (``src/repro/analysis/effects.py``) closes
 a query over the view rules it can actually reach, and the engine
-materializes only those rules (``Federation(prune="on")``, the
+materializes only those rules (``FederationConfig(prune="on")``, the
 default). On a 16-member federation, what does that save a query that
 touches one member — and what does the analysis cost a query that
 genuinely needs every member?

@@ -55,7 +55,7 @@ from repro.multidb.journal import (
     NullJournal,
 )
 from repro.multidb.resilience import FakeClock, ResiliencePolicy
-from repro.multidb.results import PartialResult, QueryResult
+from repro.multidb.results import QueryResult
 from repro.obs import (
     SLO,
     InMemoryCollector,
@@ -87,7 +87,6 @@ __all__ = [
     "FederationConfig",
     "FakeClock",
     "MemberExecutor",
-    "PartialResult",
     "QueryResult",
     "ResiliencePolicy",
     "UpdateResult",

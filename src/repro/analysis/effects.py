@@ -309,9 +309,11 @@ class EffectAnalysis:
         negative — negation still consults the referenced view) become
         needed in turn. The result is a dependency-downward-closed
         subset, so materializing exactly these rules yields the same
-        derived facts for the read patterns as the full program.
+        derived facts for the read patterns as the full program. It is
+        returned in program order, so it stratifies into the same SCC
+        keys as the full program (see :func:`repro.core.stratify.stratify`).
         """
-        needed, needed_ids = [], set()
+        needed_ids = set()
         frontier = [_terms(pattern) for pattern in read_patterns]
         changed = True
         while changed:
@@ -324,13 +326,12 @@ class EffectAnalysis:
                     for pattern in frontier
                 ):
                     needed_ids.add(id(analyzed))
-                    needed.append(analyzed)
                     frontier.append(analyzed.target)
                     frontier.extend(
                         pattern for pattern, _positive in analyzed.references
                     )
                     changed = True
-        return needed
+        return [rule for rule in self.program.rules if id(rule) in needed_ids]
 
     def query_footprint(self, statement):
         """``(reads, needed_rules)`` of one query statement.

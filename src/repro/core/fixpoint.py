@@ -174,25 +174,35 @@ def combine_overlays(overlays):
     """Deep-merge overlay tuples into one (sets union, tuples recurse)."""
     combined = TupleObject()
     for overlay in overlays:
-        _merge_into(combined, overlay)
+        merge_into(combined, overlay)
     return combined
 
 
-def _merge_into(target, source):
+def merge_into(target, source):
+    """Deep-merge ``source`` into the overlay ``target``.
+
+    Tuples and sets are created fresh in ``target``, but set elements
+    are shared, not copied: a derived element is never mutated once the
+    stratum that built it is complete (repairs add and remove whole
+    elements), and neither is an update-delta element.
+    """
     for name in source.attr_names():
         incoming = source.get(name)
-        if not target.has(name):
-            target.set(name, incoming.copy())
-            continue
-        existing = target.get(name)
-        if existing.is_tuple and incoming.is_tuple:
-            _merge_into(existing, incoming)
-        elif existing.is_set and incoming.is_set:
+        existing = target.get(name) if target.has(name) else None
+        if incoming.is_tuple and (existing is None or existing.is_tuple):
+            if existing is None:
+                existing = TupleObject()
+                target.set(name, existing)
+            merge_into(existing, incoming)
+        elif incoming.is_set and (existing is None or existing.is_set):
+            if existing is None:
+                existing = SetObject()
+                target.set(name, existing)
             # incoming and existing are distinct objects (source overlays
             # are never the combined target), so the view iteration is
             # safe while existing mutates.
             for element in incoming:
-                existing.add(element.copy())
+                existing.add(element)
         else:
             target.set(name, incoming.copy())
 
@@ -250,17 +260,29 @@ def _seminaive_stratum(stratum, universe, overlay, stats, context):
                     changed = make_true(analyzed, subst, overlay)
                     if changed is not None:
                         stats.derivations += 1
-                        make_true(analyzed, subst, next_delta)
+                        _track_delta(analyzed, subst, changed, next_delta)
         delta = next_delta
 
 
 def _derive_tracking_delta(analyzed, view, overlay, delta, context):
     changes = 0
     for subst in satisfy(analyzed.body, view, None, context):
-        if make_true(analyzed, subst, overlay) is not None:
+        changed = make_true(analyzed, subst, overlay)
+        if changed is not None:
             changes += 1
-            make_true(analyzed, subst, delta)
+            _track_delta(analyzed, subst, changed, delta)
     return changes
+
+
+def _track_delta(analyzed, subst, changed, delta):
+    """Record a fact new in the overlay in the semi-naive delta. A plain
+    element is shared with the overlay instead of built twice; merge and
+    relation-only heads re-run ``make_true`` for their own semantics."""
+    if analyzed.merge_on or analyzed.constructor is None:
+        make_true(analyzed, subst, delta)
+        return
+    names = tuple(resolve_target(analyzed.target, subst))
+    ensure_relation(delta, names).add(changed)
 
 
 def _delta_variants(analyzed, stratum_targets):
@@ -485,7 +507,7 @@ def _maintain_overdelete(stratum, variants, view_base, overlay, delete_delta,
         return removed
     cascade = 0
     deleted_all = TupleObject()
-    _merge_into(deleted_all, delete_delta)
+    merge_into(deleted_all, delete_delta)
     delta = delete_delta
     while _has_facts(delta):
         # The *old* view: current base+overlay with the deleted facts
@@ -685,6 +707,16 @@ def ensure_relation(overlay, names):
     if not parent.has(leaf):
         parent.set(leaf, SetObject())
     return parent.get(leaf)
+
+
+def overlay_relations(overlay, names=()):
+    """Yield ``(names, relation)`` for every set in an overlay."""
+    for name in overlay.attr_names():
+        obj = overlay.get(name)
+        if obj.is_set:
+            yield names + (name,), obj
+        elif obj.is_tuple:
+            yield from overlay_relations(obj, names + (name,))
 
 
 def overlay_relation(overlay, names):

@@ -99,9 +99,11 @@ def stratify(analyzed_rules):
                     negative_edges,
                 )
 
-    # Order components topologically (dependencies first) and merge
-    # consecutive components when no negative edge separates them — fewer
-    # fixpoint rounds with identical semantics.
+    # One stratum per SCC, in topological order (dependencies first).
+    # A dependency-closed subset of the rules holds every SCC it touches
+    # whole, so — passed in program order — it stratifies into the same
+    # SCC keys (rule tuples) as the full program; the engine's overlay
+    # cache relies on that to share SCCs between pruned and full queries.
     order = _component_order(components, component_of, positive_edges, negative_edges)
     strata = []
     for component_index in order:

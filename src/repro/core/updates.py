@@ -579,8 +579,10 @@ def build_object(expr, subst):
     if isinstance(expr, ast.AtomicExpr):
         if expr.op != "=":
             raise UpdateError("constructors use '=' only (simple expressions)")
-        value_obj = evaluate_term(expr.term, subst)
-        return value_obj.copy() if not isinstance(value_obj, Atom) else value_obj
+        # Copy atoms too: an atom bound from a base element is mutable
+        # in place (``.a-=X`` nulls it), so sharing it would let one
+        # update silently rewrite every object built from it.
+        return evaluate_term(expr.term, subst).copy()
     if isinstance(expr, ast.AttrStep):
         return build_object(ast.TupleExpr([expr]), subst)
     if isinstance(expr, ast.TupleExpr):

@@ -64,7 +64,7 @@ from repro.multidb.journal import (
     PendingUpdate,
     UpdateJournal,
 )
-from repro.multidb.results import PartialResult, QueryResult, UpdateResult
+from repro.multidb.results import QueryResult, UpdateResult
 from repro.multidb.firstorder import FirstOrderFederation
 from repro.multidb.resilience import (
     CircuitBreaker,
@@ -114,7 +114,6 @@ __all__ = [
     "MemberTask",
     "MonotonicClock",
     "NullJournal",
-    "PartialResult",
     "PendingUpdate",
     "QueryResult",
     "UpdateJournal",

@@ -12,25 +12,16 @@ with validated fields::
     federation = Federation.from_config(config)
 
 Every field has the historical default, so ``FederationConfig()`` is
-exactly the old ``Federation()``. The legacy keyword form still works —
-``Federation(journal=..., prune="off")`` — but emits one
-:class:`DeprecationWarning` per process (see
-:func:`warn_legacy_kwargs`); new code and all the repo's examples use
-the config form. ``docs/architecture.md`` carries the migration note.
+exactly ``Federation()``. The config is the only construction surface;
+``docs/architecture.md`` carries the migration note for code written
+against the old keyword form.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 from repro.errors import FederationError
-
-#: Fields accepted as legacy ``Federation(...)`` keywords by the shim.
-LEGACY_KWARGS = (
-    "unified_db", "unified_relation", "control_db", "obs", "journal",
-    "crash", "prune",
-)
 
 _SWITCHES = ("on", "off")
 _VALIDATE_MODES = ("off", "warn", "strict")
@@ -86,8 +77,7 @@ class FederationConfig:
       ``127.0.0.1:<port>`` serving ``/metrics`` (Prometheus text),
       ``/health``, ``/slo`` and ``/traces/*``. ``0`` binds an
       ephemeral port (read it back from ``federation.telemetry.port``);
-      ``None`` (the default) serves nothing. Config-only — there is no
-      legacy keyword for it.
+      ``None`` (the default) serves nothing.
     """
 
     unified_db: str = "dbI"
@@ -149,21 +139,3 @@ class FederationConfig:
         """A copy with ``changes`` applied (re-validated)."""
         return replace(self, **changes)
 
-
-_legacy_warned = False
-
-
-def warn_legacy_kwargs(names):
-    """One :class:`DeprecationWarning` per process for the legacy
-    ``Federation(...)`` keyword surface (the shim stays functional)."""
-    global _legacy_warned
-    if _legacy_warned:
-        return
-    _legacy_warned = True
-    rendered = ", ".join(f"{name}=" for name in sorted(names))
-    warnings.warn(
-        f"passing {rendered} directly to Federation() is deprecated; "
-        f"build a FederationConfig and call Federation.from_config(config)",
-        DeprecationWarning,
-        stacklevel=3,
-    )

@@ -39,8 +39,6 @@ See ``docs/observability.md``.
 
 from __future__ import annotations
 
-import warnings
-
 from repro.core.engine import IdlEngine
 from repro.errors import (
     CircuitOpenError,
@@ -50,7 +48,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.multidb.adapters import storage_to_relations, universe_rows
-from repro.multidb.config import FederationConfig, warn_legacy_kwargs
+from repro.multidb.config import FederationConfig
 from repro.multidb.connectors import _as_connector
 from repro.multidb.executor import MemberExecutor, MemberTask
 from repro.multidb.journal import InMemoryJournal
@@ -65,7 +63,6 @@ from repro.multidb.results import (
     FAILED,
     SNAPSHOT_ONLY,
     UNCHANGED,
-    PartialResult,
     QueryResult,
     UpdateResult,
 )
@@ -173,37 +170,16 @@ class Federation:
 
     Construction is configured by a
     :class:`~repro.multidb.config.FederationConfig` — pass one via
-    ``config=`` or :meth:`from_config`. The historical keyword surface
-    (``obs=``, ``journal=``, ``crash=``, ``prune=``, ...) still works
-    but is deprecated: it warns once per process and folds the keywords
-    into the config. ``obs`` injects a configured
-    :class:`~repro.obs.Observability` (e.g. with exporters, or
-    ``enabled=False`` to turn tracing off); by default the federation
-    builds its own with tracing enabled and shares it with the engine
-    and every member connector.
+    ``config=`` or :meth:`from_config` (``None`` means the defaults).
+    Its ``obs`` injects a configured :class:`~repro.obs.Observability`
+    (e.g. with exporters, or ``enabled=False`` to turn tracing off); by
+    default the federation builds its own with tracing enabled and
+    shares it with the engine and every member connector.
     """
 
-    def __init__(self, engine=None, unified_db=None, unified_relation=None,
-                 control_db=None, obs=None, journal=None, crash=None,
-                 prune=None, config=None):
-        legacy = {
-            name: value
-            for name, value in (
-                ("unified_db", unified_db),
-                ("unified_relation", unified_relation),
-                ("control_db", control_db),
-                ("obs", obs),
-                ("journal", journal),
-                ("crash", crash),
-                ("prune", prune),
-            )
-            if value is not None
-        }
+    def __init__(self, engine=None, config=None):
         if config is None:
             config = FederationConfig()
-        if legacy:
-            warn_legacy_kwargs(legacy)
-            config = config.replace(**legacy)
         self.config = config
         obs = config.obs
         journal = config.journal
@@ -1037,27 +1013,7 @@ class Federation:
 
     # -- convenience -----------------------------------------------------------
 
-    def _resolve_on_unavailable(self, partial, on_unavailable):
-        """Fold the deprecated ``partial=`` flag into ``on_unavailable``."""
-        if partial is not None:
-            warnings.warn(
-                'Federation.query(partial=...) is deprecated; use '
-                'on_unavailable="partial" (or "fail") instead',
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if on_unavailable is None:
-                on_unavailable = "partial" if partial else "fail"
-        if on_unavailable is None:
-            on_unavailable = "fail"
-        if on_unavailable not in ("fail", "partial"):
-            raise FederationError(
-                f'on_unavailable must be "fail" or "partial", '
-                f"got {on_unavailable!r}"
-            )
-        return on_unavailable
-
-    def query(self, source, partial=None, *, on_unavailable=None, **params):
+    def query(self, source, *, on_unavailable="fail", **params):
         """Answer a query; returns a :class:`QueryResult`.
 
         With ``on_unavailable="fail"`` (the default) the federation
@@ -1070,10 +1026,13 @@ class Federation:
 
         The result is still the plain list of answers, and additionally
         carries ``stats``, ``profile``, ``trace`` and ``metrics`` (see
-        :mod:`repro.multidb.results`). ``partial=True``/``False`` is a
-        deprecated alias for ``on_unavailable``.
+        :mod:`repro.multidb.results`).
         """
-        on_unavailable = self._resolve_on_unavailable(partial, on_unavailable)
+        if on_unavailable not in ("fail", "partial"):
+            raise FederationError(
+                f'on_unavailable must be "fail" or "partial", '
+                f"got {on_unavailable!r}"
+            )
         with self.obs.metrics.request() as request_metrics, self.obs.span(
             "federation.query", on_unavailable=on_unavailable
         ) as root:

@@ -1,7 +1,7 @@
 """Unified result types of the federation API.
 
-Historically ``Federation.query`` returned three shapes — a bare list,
-a ``PartialResult`` when ``partial=True``, booleans from ``ask`` — and
+Historically ``Federation.query`` returned several shapes — a bare
+list, a separate partial-answer type, booleans from ``ask`` — and
 ``update``/``call`` returned the engine-level
 :class:`~repro.core.updates.UpdateResult`, so nothing carried the
 pipeline's availability, trace, profile or metrics to the caller. Now:
@@ -17,14 +17,10 @@ pipeline's availability, trace, profile or metrics to the caller. Now:
 * every ``update``/``call`` returns this module's :class:`UpdateResult`
   — a subclass of the engine's (so existing ``isinstance`` checks and
   attribute reads keep working) extended with per-member apply
-  outcomes, flush status, and the same observability fields;
-* :class:`PartialResult` survives as a deprecated alias of
-  :class:`QueryResult` that warns on construction.
+  outcomes, flush status, and the same observability fields.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.core.updates import UpdateResult as EngineUpdateResult
 
@@ -71,27 +67,6 @@ class QueryResult(list):
         if self.availability is not None and not self.complete:
             qualifier = ", partial"
         return f"QueryResult({len(self)} answers{qualifier})"
-
-
-class PartialResult(QueryResult):
-    """Deprecated alias of :class:`QueryResult`.
-
-    ``Federation.query`` now always returns a :class:`QueryResult`
-    (with ``on_unavailable="partial"`` for the old degraded-answer
-    behavior); constructing a ``PartialResult`` directly warns.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, answers, availability=None, **kwargs):
-        warnings.warn(
-            "PartialResult is deprecated; Federation.query returns a "
-            "QueryResult (use on_unavailable='partial' for degraded "
-            "answers)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(answers, availability, **kwargs)
 
 
 # Per-member flush outcomes an UpdateResult reports.

@@ -1,8 +1,8 @@
 """FederationConfig: the consolidated federation construction surface.
 
 Covers field validation, ``Federation.from_config``, ``replace``
-re-validation, and the legacy-keyword shim (still functional, one
-``DeprecationWarning`` per process).
+re-validation, and that config construction neither warns nor changes
+the validation errors the retired keyword form raised.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import warnings
 
 import pytest
 
-import repro.multidb.config as config_module
 from repro.errors import FederationError
 from repro.multidb import (
     Federation,
@@ -116,29 +115,12 @@ class TestFromConfig:
 
 
 class TestLegacyShim:
-    @pytest.fixture(autouse=True)
-    def fresh_warning_budget(self, monkeypatch):
-        monkeypatch.setattr(config_module, "_legacy_warned", False)
-
-    def test_legacy_kwargs_still_build_a_federation(self, workload):
-        journal = InMemoryJournal()
-        with pytest.warns(DeprecationWarning, match="from_config"):
-            federation = Federation(journal=journal, prune="off")
-        assert federation.journal is journal
-        assert federation.prune == "off"
-        assert federation.config.prune == "off"
-
-    def test_warns_once_per_process(self):
-        with pytest.warns(DeprecationWarning):
-            Federation(prune="on")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            Federation(prune="on")  # the budget is spent; silent now
+    """The keyword form is gone; what it guaranteed still holds."""
 
     def test_legacy_validation_error_is_unchanged(self):
         with pytest.raises(FederationError,
                            match="prune must be 'on' or 'off'"):
-            Federation(prune="maybe")
+            FederationConfig(prune="maybe")
 
     def test_plain_construction_does_not_warn(self):
         with warnings.catch_warnings():

@@ -4,7 +4,7 @@ The golden span-tree tests pin down the *shape* of a trace (stable
 span names and structural attributes, never timings) so the pipeline's
 instrumentation points cannot silently disappear; the result-type
 tests cover the unified ``QueryResult``/``UpdateResult`` API and the
-deprecation shims around the old ``partial=`` flag.
+``on_unavailable`` switch.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.multidb import Federation, FederationConfig, InMemoryConnector
 from repro.multidb.results import (
     APPLIED,
     SNAPSHOT_ONLY,
-    PartialResult,
     QueryResult,
     UpdateResult,
 )
@@ -304,37 +303,10 @@ class TestUpdateResult:
 
 
 class TestDeprecations:
-    def test_partial_true_maps_to_on_unavailable_partial(self):
-        federation = build_stock_federation()
-        with pytest.warns(DeprecationWarning, match="on_unavailable"):
-            result = federation.query(QUERY, partial=True)
-        assert isinstance(result, QueryResult)
-        assert result.complete
-
-    def test_partial_false_maps_to_fail(self):
-        federation = build_stock_federation()
-        with pytest.warns(DeprecationWarning):
-            result = federation.query(QUERY, partial=False)
-        assert len(result) == 4
-
-    def test_explicit_on_unavailable_wins_over_partial(self):
-        federation = build_stock_federation()
-        with pytest.warns(DeprecationWarning):
-            result = federation.query(
-                QUERY, partial=True, on_unavailable="fail"
-            )
-        assert result.trace.attributes["on_unavailable"] == "fail"
-
     def test_invalid_on_unavailable_is_rejected(self):
         federation = build_stock_federation()
         with pytest.raises(FederationError, match="on_unavailable"):
             federation.query(QUERY, on_unavailable="explode")
-
-    def test_partial_result_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="PartialResult"):
-            result = PartialResult([{"D": "d"}])
-        assert isinstance(result, QueryResult)
-        assert list(result) == [{"D": "d"}]
 
     def test_plain_query_does_not_warn(self):
         federation = build_stock_federation()

@@ -171,7 +171,7 @@ class TestQueryPruning:
 
     def test_prune_rejects_unknown_mode(self):
         with pytest.raises(FederationError):
-            Federation(prune="maybe")
+            FederationConfig(prune="maybe")
 
     def test_member_query_skips_the_other_members(self):
         workload, federation = self.fed()

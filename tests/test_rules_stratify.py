@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.parser import parse_rule
+from repro import IdlEngine
+from repro.core.parser import parse_program, parse_rule
 from repro.core.rules import (
     analyze_rule,
     body_references,
@@ -138,6 +139,55 @@ class TestStratify:
         # v.b references v.a: a negative cycle.
         with pytest.raises(StratificationError):
             stratify(rules)
+
+
+def scc_keys(rules):
+    return [tuple(id(rule) for rule in stratum) for stratum in stratify(rules)]
+
+
+#: Queries over every relation the paper's federation program defines or
+#: reads, so each footprint selects a different dependency-closed subset.
+FOOTPRINT_QUERIES = (
+    "?.dbI.p(.date=D, .stk=S, .price=P)",
+    "?.dbE.r(.date=D, .stkCode=S, .clsPrice=P)",
+    "?.dbO.S(.date=D, .clsPrice=P)",
+    "?.dbO.hp(.date=D, .clsPrice=P)",
+    "?.dbC.r(.date=D)",
+    "?.euter.r(.date=D, .stkCode=S)",
+    "?.chwab.r(.date=D)",
+)
+
+
+class TestSubsetStratification:
+    """A dependency-closed rule subset stratifies into the same SCC keys
+    as the whole program — the invariant the engine's SCC-keyed overlay
+    cache relies on to share work between pruned and full queries."""
+
+    @pytest.mark.parametrize("source", FOOTPRINT_QUERIES)
+    def test_footprint_subset_keeps_program_scc_keys(self, unified_engine,
+                                                     source):
+        program_keys = scc_keys(unified_engine.program.rules)
+        statement = parse_program(source)[0]
+        _, needed = unified_engine.effect_analysis().query_footprint(
+            statement
+        )
+        subset_keys = scc_keys(needed)
+        assert set(subset_keys) <= set(program_keys)
+        assert sorted(rule_id for key in subset_keys for rule_id in key) \
+            == sorted(id(rule) for rule in needed)
+
+    def test_recursive_component_key_ignores_discovery_order(self):
+        # The query reaches v.a's rules first and v.b's rule (listed
+        # before them) only through them; the subset must still key the
+        # v.a/v.b component exactly as the whole program does.
+        engine = IdlEngine()
+        engine.define(".v.b(.x=X) <- .v.a(.x=X)")
+        engine.define(".v.a(.x=X) <- .d.r(.x=X)")
+        engine.define(".v.a(.x=X) <- .v.b(.x=X)")
+        statement = parse_program("?.v.a(.x=X)")[0]
+        _, needed = engine.effect_analysis().query_footprint(statement)
+        assert len(needed) == 3
+        assert scc_keys(needed) == scc_keys(engine.program.rules)
 
 
 class TestMakeTrue:

@@ -38,6 +38,32 @@ class TestBuildObject:
         built = self.ground(".k=K, .v=V", K="key", V=7)
         assert to_python(built) == {"k": "key", "v": 7}
 
+    def test_bound_atoms_are_copied(self):
+        # Atoms are mutable in place (``.a-=X`` nulls one), so a built
+        # object must not share the atom it was bound from.
+        bound = Atom(7)
+        built = build_object(parse_expression("?.v=V").conjuncts[0],
+                             Substitution.of({"V": bound}))
+        bound.value = None
+        assert to_python(built) == {"v": 7}
+
+    def test_atom_minus_on_one_member_spares_the_other(self):
+        # One program call inserts the same bound price into two
+        # relations; nulling it in one must leave the other intact.
+        from repro import IdlEngine
+
+        engine = IdlEngine()
+        engine.add_database("e", {"r": []})
+        engine.add_database("c", {"r": []})
+        engine.add_database("u")
+        engine.define_update(
+            ".u.ins(.d=D, .p=P) -> .e.r+(.d=D, .p=P)\n"
+            ".u.ins(.d=D, .p=P) -> .c.r+(.d=D, .p=P)"
+        )
+        engine.call("u", "ins", d="d1", p=5)
+        engine.update("?.c.r(.d=d1, .p-=X)")
+        assert engine.query("?.e.r(.d=d1, .p=P)") == [{"P": 5}]
+
     def test_higher_order_attribute_name(self):
         built = self.ground(".S=P", S="hp", P=50)
         assert to_python(built) == {"hp": 50}
