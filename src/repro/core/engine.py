@@ -20,8 +20,6 @@ cached views they affected.
 
 from __future__ import annotations
 
-import time
-
 from repro.core import ast
 from repro.core.evaluator import EvalContext, answers, holds
 from repro.core.parser import parse_program
@@ -31,6 +29,7 @@ from repro.errors import IdlError, SemanticError
 from repro.objects.merged import MergedTuple
 from repro.objects.tuple import TupleObject
 from repro.objects.universe import Universe
+from repro.obs.trace import NOOP_TRACER
 
 
 class QueryAnswer:
@@ -99,12 +98,15 @@ class IdlEngine:
     """A multidatabase engine speaking IDL.
 
     ``obs`` optionally attaches a :class:`repro.obs.Observability`:
-    queries and updates then run inside spans (federation → engine →
-    fixpoint strata), evaluation collects node-visit counters, and
-    coarse metrics (``fixpoint.iterations``, ...) accumulate in its
-    registry. With ``obs=None`` (the default) the engine takes the
-    exact pre-observability code path — benchmark B3 asserts a
-    disabled :class:`~repro.obs.Observability` costs within 5% of it.
+    queries, updates and view maintenance then run inside spans
+    (federation → engine → fixpoint strata). The engine counts its work
+    only on those spans, and its metrics (``fixpoint.iterations``, ...)
+    are derived from them with tracing on or off (see
+    :data:`repro.obs.metrics.SPAN_METRICS`). With tracing on, queries
+    also collect node-visit counters. With ``obs=None`` (the default) the
+    engine takes the exact pre-observability query path — benchmark B3
+    asserts a disabled :class:`~repro.obs.Observability` costs within 5%
+    of it.
 
     With ``prune`` True (the federation turns it on by default),
     queries are first run through the static effect analysis
@@ -142,6 +144,7 @@ class IdlEngine:
         self.eval_ctx = EvalContext(reorder=reorder, use_indexes=use_indexes)
         self.constraints = ConstraintSet()
         self.obs = None
+        self._tracer = NOOP_TRACER
         if obs is not None:
             self.use_observability(obs)
         self.prune = prune
@@ -156,7 +159,7 @@ class IdlEngine:
         """Attach an :class:`~repro.obs.Observability` (the federation
         shares its own with the engine so spans nest in one trace)."""
         self.obs = obs
-        self.eval_ctx.tracer = obs.tracer if obs.enabled else None
+        self._tracer = self.eval_ctx.tracer = obs.tracer
         self.eval_ctx.metrics = obs.metrics
         return self
 
@@ -281,14 +284,8 @@ class IdlEngine:
         from repro.core import fixpoint
         from repro.core.rules import patterns_overlap
         from repro.core.terms import Const
-        from repro.obs.trace import NOOP_SPAN
 
-        stats = self._stats
-        metrics = self.eval_ctx.metrics
-        obs = self.obs
-        span = (obs.span("fixpoint.maintain")
-                if obs is not None and obs.enabled else NOOP_SPAN)
-
+        stats = fixpoint.FixpointStats(self.fixpoint_method)
         acc_inserts, acc_deletes, symbolic = delta.fold()
         acc_inserts = {path: dict(elems) for path, elems in acc_inserts.items()}
         acc_deletes = {path: dict(elems) for path, elems in acc_deletes.items()}
@@ -300,14 +297,12 @@ class IdlEngine:
         changed_patterns = list(touched_patterns)
         seeded = (sum(len(v) for v in acc_inserts.values())
                   + sum(len(v) for v in acc_deletes.values()))
-        overdeleted_before = stats.maintain_overdeleted
-        rederived_before = stats.maintain_rederived
         rules = {id(rule): rule for rule in self.program.rules}
         derived_added = {}
         derived_removed = {}
         repaired = 0
         dropped = []
-        with span:
+        with self._tracer.span("fixpoint.maintain") as span:
             view_base = self.universe
             for key, overlay in self._sccs.items():
                 if dirty_ids.isdisjoint(key):
@@ -349,7 +344,6 @@ class IdlEngine:
                         acc_deletes.setdefault(names, {}).update(elements)
                         derived_removed.setdefault(names, {}).update(elements)
                     repaired += 1
-                    stats.maintained_strata += 1
                     span.event(
                         "stratum-repaired",
                         added=sum(len(v) for v in added.values()),
@@ -361,24 +355,13 @@ class IdlEngine:
                     unknown = unknown + [rule.target for rule in stratum]
                     span.event("stratum-fallback", reason=reason)
                 changed_patterns.extend(rule.target for rule in stratum)
-            stats.maintain_seeded += seeded
-            stats.maintain_fallbacks += len(dropped)
             span.set("strata", len(self._sccs))
             span.set("repaired", repaired)
             span.set("fallbacks", len(dropped))
             span.set("seeded", seeded)
-            span.set("overdeleted",
-                     stats.maintain_overdeleted - overdeleted_before)
-            span.set("rederived",
-                     stats.maintain_rederived - rederived_before)
-        if metrics is not None:
-            metrics.counter("fixpoint.maintain.runs").inc()
-            metrics.counter("fixpoint.maintain.seeded").inc(seeded)
-            metrics.counter("fixpoint.maintain.overdeleted").inc(
-                stats.maintain_overdeleted - overdeleted_before)
-            metrics.counter("fixpoint.maintain.rederived").inc(
-                stats.maintain_rederived - rederived_before)
-            metrics.counter("fixpoint.maintain.fallbacks").inc(len(dropped))
+            span.set("overdeleted", stats.maintain_overdeleted)
+            span.set("rederived", stats.maintain_rederived)
+        self._stats.add(stats)
         self._drop(dropped, derived_added, derived_removed)
 
     def _drop(self, keys, added, removed):
@@ -456,13 +439,7 @@ class IdlEngine:
             if key not in self._sccs:
                 self._sccs[key] = overlay
                 fixpoint.merge_into(self._overlay, overlay)
-        if self._stats is None:
-            self._stats = stats
-            return
-        for name in ("rounds", "rule_firings", "derivations",
-                     "reused_strata"):
-            setattr(self._stats, name,
-                    getattr(self._stats, name) + getattr(stats, name))
+        self._stats = stats if self._stats is None else self._stats.add(stats)
 
     def materialized_view(self):
         """The merged (base + derived) universe with every SCC live."""
@@ -554,8 +531,8 @@ class IdlEngine:
         """Answer a query; returns a list of :class:`QueryAnswer`.
 
         ``params`` pre-bind variables: ``engine.query("?.db.r(.a=X,.b=Y)",
-        X=3)``. With observability attached and enabled, the evaluation
-        runs inside ``engine.query``/``engine.evaluate`` spans and the
+        X=3)``. With observability attached, the evaluation runs inside
+        ``engine.query``/``engine.evaluate`` spans; with tracing on, the
         profiling counters land on the ``engine.evaluate`` span.
         """
         statement = self._one_query(source)
@@ -563,35 +540,20 @@ class IdlEngine:
             raise SemanticError(
                 "this is an update request; use IdlEngine.update()"
             )
-        obs = self.obs
-        if obs is None or not obs.enabled:
-            if obs is None:
-                view = self._view_for(statement)
-                results = answers(statement, view, params or None,
-                                  self.eval_ctx)
-                return self._render_answers(results)
-            # Tracing off but metrics on: time the query explicitly so
-            # the engine.query.ms window (rates, percentiles) keeps
-            # feeding /metrics and the SLO layer.
-            started = time.perf_counter()
+        if self.obs is None:
             view = self._view_for(statement)
             results = answers(statement, view, params or None, self.eval_ctx)
-            obs.metrics.histogram("engine.query.ms").observe(
-                (time.perf_counter() - started) * 1000.0
-            )
             return self._render_answers(results)
+        obs = self.obs
         with obs.span("engine.query") as span:
             view = self._view_for(statement)
-            context = self._profiled_context()
+            context = self._query_context()
             with obs.span("engine.evaluate") as evaluate_span:
                 results = answers(statement, view, params or None, context)
                 evaluate_span.set("answers", len(results))
                 if context.counters is not None:
                     evaluate_span.set("counters", dict(context.counters))
             span.set("answers", len(results))
-        duration_ms = span.duration_ms
-        if duration_ms is not None:
-            obs.metrics.histogram("engine.query.ms").observe(duration_ms)
         return self._render_answers(results)
 
     def ask(self, source, **params):
@@ -599,14 +561,13 @@ class IdlEngine:
         statement = self._one_query(source)
         if statement.is_update_request:
             raise SemanticError("this is an update request; use IdlEngine.update()")
-        obs = self.obs
-        if obs is None or not obs.enabled:
+        if self.obs is None:
             return holds(statement, self._view_for(statement), params or None,
                          self.eval_ctx)
-        with obs.span("engine.ask") as span:
+        with self.obs.span("engine.ask") as span:
             view = self._view_for(statement)
             result = holds(statement, view, params or None,
-                           self._profiled_context())
+                           self._query_context())
             span.set("satisfiable", result)
         return result
 
@@ -621,19 +582,16 @@ class IdlEngine:
             for substitution in results
         ]
 
-    def _profiled_context(self):
-        """A per-statement evaluation context that collects node-visit
-        counters (when the observability asks for profiles) while
-        sharing the engine tracer and metrics. The shared ``eval_ctx``
-        keeps serving the un-observed path and the fixpoint."""
-        obs = self.obs
-        return EvalContext(
-            reorder=self.eval_ctx.reorder,
-            profile=obs.profile_queries,
-            tracer=self.eval_ctx.tracer,
-            metrics=self.eval_ctx.metrics,
-            use_indexes=self.eval_ctx.use_indexes,
-        )
+    def _query_context(self):
+        """With tracing on, a per-statement evaluation context that
+        collects node-visit counters while sharing the engine tracer
+        and metrics; with tracing off, the shared ``eval_ctx``."""
+        shared = self.eval_ctx
+        if not shared.tracer.enabled:
+            return shared
+        return EvalContext(reorder=shared.reorder, profile=True,
+                           tracer=shared.tracer, metrics=shared.metrics,
+                           use_indexes=shared.use_indexes)
 
     # -- updates ------------------------------------------------------------
 
@@ -643,12 +601,8 @@ class IdlEngine:
         on any error; the request still *succeeds-or-not* per the paper's
         success/failure semantics — inspect the returned UpdateResult."""
         from repro.core.updates import UpdateContext, UpdateDelta
-        from repro.obs.trace import NOOP_SPAN
 
         statement = self._one_query(source, allow_update=True)
-        obs = self.obs
-        span = (obs.span("engine.update")
-                if obs is not None and obs.enabled else NOOP_SPAN)
         executor = UpdateExecutor(self.program, self.universe, self.eval_ctx)
         # Capture concrete element-level deltas only when some SCC is
         # live to maintain with them; otherwise the capture hooks stay
@@ -657,7 +611,7 @@ class IdlEngine:
         uctx = UpdateContext(self.eval_ctx,
                              delta=UpdateDelta() if capture else None)
         snapshot = self.universe.snapshot() if atomic else None
-        with span:
+        with self._tracer.span("engine.update") as span:
             try:
                 result = executor.execute_request(statement, params or None,
                                                   uctx=uctx)
@@ -682,8 +636,6 @@ class IdlEngine:
             span.set("deleted", result.deleted)
             span.set("modified", result.modified)
             span.set("touched", sorted(".".join(p) for p in result.touched))
-        if obs is not None:
-            obs.metrics.counter("engine.updates").inc()
         if result.changed:
             self._selective_invalidate(result.touched, result.delta)
         return result

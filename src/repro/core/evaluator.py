@@ -49,31 +49,28 @@ class EvalContext:
                       carries a ground ``=`` selection on a known
                       attribute (default True; the B13 ablation turns it
                       off to measure the scan baseline).
-    ``trace``       — optional callable receiving (expr, obj, subst) on
-                      every satisfaction attempt; used by the debug tools.
     ``profile``     — collect node-visit counters into ``self.counters``
                       (off by default: it costs in the hot path). The
-                      engine's observed query path turns it on and folds
+                      engine turns it on when tracing is on and folds
                       the counters into the ``engine.evaluate`` span, so
                       they reach callers on the result objects.
-    ``tracer``      — optional :class:`repro.obs.trace.Tracer`; the
-                      fixpoint hangs its per-stratum spans off it. None
-                      (the default) keeps the hot path branch-free.
+    ``tracer``      — optional tracer (enabled or not) the fixpoint opens
+                      its spans on; its metrics derive from those spans.
+                      None (the default) opens no spans.
     ``metrics``     — optional :class:`repro.obs.metrics.MetricsRegistry`
-                      receiving coarse counters (reorderings computed,
-                      index builds/hits/misses/fallbacks, cache
-                      evictions, fixpoint totals). Guarded by
-                      ``is not None`` everywhere it is touched.
+                      receiving the evaluator's counters (reorderings
+                      computed, index builds/hits/misses/fallbacks, cache
+                      evictions). Guarded by ``is not None`` everywhere it
+                      is touched.
     """
 
-    __slots__ = ("reorder", "use_indexes", "trace", "counters", "tracer",
-                 "metrics", "_order_cache", "_probe_cache")
+    __slots__ = ("reorder", "use_indexes", "counters", "tracer", "metrics",
+                 "_order_cache", "_probe_cache")
 
-    def __init__(self, reorder=True, trace=None, profile=False, tracer=None,
+    def __init__(self, reorder=True, profile=False, tracer=None,
                  metrics=None, use_indexes=True):
         self.reorder = reorder
         self.use_indexes = use_indexes
-        self.trace = trace
         self.counters = {} if profile else None
         self.tracer = tracer
         self.metrics = metrics
@@ -149,8 +146,6 @@ def satisfy(expr, obj, subst=None, context=None):
 
 
 def _satisfy(expr, obj, subst, context):
-    if context.trace is not None:
-        context.trace(expr, obj, subst)
     if context.counters is not None:
         context.count("visits")
         context.count(type(expr).__name__)

@@ -20,8 +20,6 @@ B3 measures the difference on recursive workloads.
 
 from __future__ import annotations
 
-import time
-
 from repro.core import ast
 from repro.core.rules import (
     body_references,
@@ -35,7 +33,7 @@ from repro.core.stratify import is_recursive_stratum, stratify
 from repro.core.substitution import Substitution
 from repro.core.terms import Const, Var
 from repro.core.updates import build_object
-from repro.obs.trace import NOOP_SPAN
+from repro.obs.trace import NOOP_TRACER
 from repro.objects.atom import Atom
 from repro.objects.base import same_value
 from repro.objects.merged import MergedTuple
@@ -48,44 +46,33 @@ DELTA_ROOT = "__delta__"
 class FixpointStats:
     """Instrumentation for one materialization run.
 
-    The ``maintain_*`` counters accumulate across the incremental
-    repairs (:func:`maintain_stratum`) applied to this materialization
-    after updates: strata repaired in place, concrete delta facts
-    seeded, facts over-deleted and re-derived by the DRed pass, and
-    strata that had to fall back to a full rebuild.
+    ``maintain_overdeleted``/``maintain_rederived`` count the facts the
+    DRed passes of :func:`maintain_stratum` removed and restored. The
+    other repair counts of each maintenance pass live on its
+    ``fixpoint.maintain`` span.
     """
 
-    __slots__ = ("rounds", "rule_firings", "derivations", "strategy",
-                 "reused_strata", "maintained_strata", "maintain_seeded",
-                 "maintain_overdeleted", "maintain_rederived",
-                 "maintain_fallbacks")
+    COUNTS = ("rounds", "rule_firings", "derivations", "reused_strata",
+              "maintain_overdeleted", "maintain_rederived")
+    __slots__ = ("strategy",) + COUNTS
 
     def __init__(self, strategy):
         self.strategy = strategy
-        self.rounds = 0
-        self.rule_firings = 0
-        self.derivations = 0
-        self.reused_strata = 0
-        self.maintained_strata = 0
-        self.maintain_seeded = 0
-        self.maintain_overdeleted = 0
-        self.maintain_rederived = 0
-        self.maintain_fallbacks = 0
+        for name in self.COUNTS:
+            setattr(self, name, 0)
+
+    def add(self, other):
+        """Accumulate another run's counts into this one."""
+        for name in self.COUNTS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        return self
 
     def __repr__(self):
-        rendered = (
+        return (
             f"FixpointStats({self.strategy}, rounds={self.rounds}, "
             f"firings={self.rule_firings}, derivations={self.derivations}, "
-            f"reused={self.reused_strata}"
+            f"reused={self.reused_strata})"
         )
-        if self.maintained_strata or self.maintain_fallbacks:
-            rendered += (
-                f", maintained={self.maintained_strata}, "
-                f"overdeleted={self.maintain_overdeleted}, "
-                f"rederived={self.maintain_rederived}, "
-                f"fallbacks={self.maintain_fallbacks}"
-            )
-        return rendered + ")"
 
 
 def materialize(analyzed_rules, universe, method="seminaive", context=None):
@@ -114,42 +101,32 @@ def materialize_strata(analyzed_rules, universe, method="seminaive",
     """
     if method not in ("naive", "seminaive"):
         raise ValueError(f"unknown fixpoint method {method!r}")
-    tracer = context.tracer if context is not None else None
-    metrics = context.metrics if context is not None else None
-    started = time.perf_counter() if metrics is not None else None
+    tracer = (context.tracer if context is not None
+              and context.tracer is not None else NOOP_TRACER)
+    evaluate = _seminaive_stratum if method == "seminaive" else _naive_stratum
     stats = FixpointStats(method)
     overlays = []
     view_base = universe
-    outer = (tracer.span("fixpoint.materialize", method=method)
-             if tracer is not None else NOOP_SPAN)
-    with outer:
+    with tracer.span("fixpoint.materialize", method=method) as outer:
         for index, stratum in enumerate(stratify(analyzed_rules)):
             key = tuple(id(analyzed) for analyzed in stratum)
             cached = reuse.get(key) if reuse else None
-            span = (tracer.span("fixpoint.stratum", index=index,
-                                rules=len(stratum))
-                    if tracer is not None else NOOP_SPAN)
-            with span:
-                rounds = stats.rounds
-                firings = stats.rule_firings
-                derivations = stats.derivations
+            with tracer.span("fixpoint.stratum", index=index,
+                             rules=len(stratum)) as span:
                 if cached is not None:
                     overlay = cached
                     stats.reused_strata += 1
                     span.set("reused", True)
                 else:
                     overlay = TupleObject()
-                    if method == "seminaive":
-                        _seminaive_stratum(stratum, view_base, overlay,
-                                           stats, context)
-                    else:
-                        _naive_stratum(stratum, view_base, overlay, stats,
-                                       context)
+                    run = FixpointStats(method)
+                    evaluate(stratum, view_base, overlay, run, context)
+                    stats.add(run)
                     span.set("reused", False)
-                    span.set("rounds", stats.rounds - rounds)
-                    span.set("firings", stats.rule_firings - firings)
-                    span.set("derivations", stats.derivations - derivations)
-                if tracer is not None:
+                    span.set("rounds", run.rounds)
+                    span.set("firings", run.rule_firings)
+                    span.set("derivations", run.derivations)
+                if tracer.enabled:
                     span.set("facts", count_overlay_facts(overlay))
             overlays.append((key, stratum, overlay))
             view_base = MergedTuple(view_base, overlay)
@@ -158,15 +135,6 @@ def materialize_strata(analyzed_rules, universe, method="seminaive",
         outer.set("firings", stats.rule_firings)
         outer.set("derivations", stats.derivations)
         outer.set("reused_strata", stats.reused_strata)
-    if metrics is not None:
-        metrics.counter("fixpoint.runs").inc()
-        metrics.counter("fixpoint.iterations").inc(stats.rounds)
-        metrics.counter("fixpoint.rule_firings").inc(stats.rule_firings)
-        metrics.counter("fixpoint.derivations").inc(stats.derivations)
-        metrics.counter("fixpoint.reused_strata").inc(stats.reused_strata)
-        metrics.histogram("fixpoint.materialize.ms").observe(
-            (time.perf_counter() - started) * 1000.0
-        )
     return overlays, stats
 
 

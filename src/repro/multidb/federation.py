@@ -1060,7 +1060,7 @@ class Federation:
                        if not reads.touches_db(name)]
         else:
             skipped = []
-        scanned = [name for name in attached if name not in set(skipped)]
+        scanned = sorted(set(attached).difference(skipped))
         metrics = self.obs.metrics
         if skipped:
             metrics.counter("analysis.prune.skipped").inc(len(skipped))

@@ -13,7 +13,8 @@ This package makes that pipeline inspectable end to end:
   (``fixpoint.iterations``, ``connector.scan.retries``,
   ``circuit.state_changes``, ``evaluator.reorder.applied``, ...), each
   backed by a sliding window (:mod:`repro.obs.window`) for per-window
-  rates and latency percentiles, plus per-request delta accumulators.
+  rates and latency percentiles, plus per-request delta accumulators;
+  ``SPAN_METRICS`` derives the engine's and fixpoint's from spans.
   The static effect analysis adds ``analysis.prune.skipped`` /
   ``analysis.prune.scanned`` — per-query counts of members whose scans
   the inferred read set avoided vs. required — and query/update spans
@@ -35,9 +36,10 @@ and threads it through its engine and every member connector, so
 :class:`~repro.multidb.results.QueryResult` whose ``trace``/``profile``
 /``metrics`` cover the whole pipeline. Pass
 ``Observability(enabled=False)`` (or build a bare ``IdlEngine`` with no
-``obs``) to turn tracing off — benchmark B3 asserts the disabled path
-costs under 5%, and benchmark B18 asserts the full telemetry pipeline
-(sampling at 0.1, windows on) costs under 5% over the disabled path.
+``obs``, which keeps no metrics either) to turn tracing off — benchmark
+B3 asserts the disabled path costs under 5%, and benchmark B18 asserts
+the full telemetry pipeline (sampling at 0.1, windows on) costs under
+5% over the disabled path.
 """
 
 from __future__ import annotations
@@ -70,12 +72,9 @@ class Observability:
     """One tracer + one metrics registry + slow-query log + SLO tracker
     + the exporters.
 
-    ``enabled`` gates tracing and per-query profiling; metrics stay on
-    either way (increments are cheap and only fire at coarse-grained
-    points). ``profile_queries`` additionally controls whether query
-    evaluation collects node-visit counters (on by default when
-    enabled; it costs in the evaluator's hot loop, which is the point
-    of profiling).
+    ``enabled`` gates tracing and per-query profiling (node-visit
+    counters); metrics stay on either way, since the disabled
+    :class:`NoopTracer` still hands out counting spans.
 
     The production knobs (all keep the debugging defaults when unset):
 
@@ -95,18 +94,14 @@ class Observability:
     * ``rng`` — injectable sampling randomness for tests.
     """
 
-    __slots__ = ("enabled", "profile_queries", "metrics", "exporters",
-                 "tracer", "slow_log", "slo", "recent", "sample_rate",
-                 "slow_threshold_ms")
+    __slots__ = ("enabled", "metrics", "exporters", "tracer", "slow_log",
+                 "slo", "recent", "sample_rate", "slow_threshold_ms")
 
-    def __init__(self, enabled=True, profile_queries=None, exporters=(),
-                 clock=None, sample_rate=1.0, slow_threshold_ms=None,
-                 limits=None, window=None, slow_log=None, slo=None,
-                 recent_traces=32, rng=None):
+    def __init__(self, enabled=True, exporters=(), clock=None,
+                 sample_rate=1.0, slow_threshold_ms=None, limits=None,
+                 window=None, slow_log=None, slo=None, recent_traces=32,
+                 rng=None):
         self.enabled = bool(enabled)
-        self.profile_queries = (
-            self.enabled if profile_queries is None else bool(profile_queries)
-        )
         self.metrics = MetricsRegistry(window=window)
         self.exporters = list(exporters)
         self.sample_rate = float(sample_rate)
@@ -139,11 +134,11 @@ class Observability:
                 rng=rng,
             )
         else:
-            self.tracer = NOOP_TRACER
+            self.tracer = NoopTracer(metrics=self.metrics)
 
     def span(self, name, **attributes):
-        """A new span from this observability's tracer (no-op span when
-        tracing is disabled)."""
+        """A new span from this observability's tracer (a counting or
+        no-op span when tracing is disabled)."""
         return self.tracer.span(name, **attributes)
 
     def add_exporter(self, exporter):

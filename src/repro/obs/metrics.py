@@ -10,7 +10,8 @@ through (federation, engine, fixpoint, connectors).
 Increments are a dict lookup plus an integer add, cheap enough to stay
 on even when tracing is disabled; the hot evaluator loop still guards
 behind ``metrics is not None`` so an engine without observability pays
-nothing.
+nothing. The engine and the fixpoint increment nothing by hand:
+:meth:`MetricsRegistry.fold` derives their metrics from their spans.
 
 Beyond the cumulative values, every instrument feeds a sliding window
 (:mod:`repro.obs.window`) so :meth:`MetricsRegistry.snapshot` reports
@@ -219,6 +220,31 @@ class _RequestAccumulator:
         })
 
 
+#: Metrics derived from spans, by span name: ``(counter counting the
+#: span, ((attribute, counter summing it), ...), histogram of the span's
+#: duration in ms)``.
+SPAN_METRICS = {
+    "fixpoint.materialize": (
+        "fixpoint.runs",
+        (("rounds", "fixpoint.iterations"),
+         ("firings", "fixpoint.rule_firings"),
+         ("derivations", "fixpoint.derivations"),
+         ("reused_strata", "fixpoint.reused_strata")),
+        "fixpoint.materialize.ms",
+    ),
+    "fixpoint.maintain": (
+        "fixpoint.maintain.runs",
+        (("seeded", "fixpoint.maintain.seeded"),
+         ("overdeleted", "fixpoint.maintain.overdeleted"),
+         ("rederived", "fixpoint.maintain.rederived"),
+         ("fallbacks", "fixpoint.maintain.fallbacks")),
+        None,
+    ),
+    "engine.query": (None, (), "engine.query.ms"),
+    "engine.update": ("engine.updates", (), None),
+}
+
+
 class MetricsRegistry:
     """Named counters and histograms, created on first use.
 
@@ -274,6 +300,21 @@ class MetricsRegistry:
                                    registry=self)
                 )
         return instrument
+
+    def fold(self, span):
+        """Derive the :data:`SPAN_METRICS` of one span that closed
+        without an exception (a failed span feeds nothing)."""
+        derived = SPAN_METRICS.get(span.name)
+        if derived is None:
+            return
+        count, sums, duration = derived
+        if count is not None:
+            self.counter(count).inc()
+        attributes = span.attributes
+        for attribute, name in sums:
+            self.counter(name).inc(attributes.get(attribute, 0))
+        if duration is not None:
+            self.histogram(duration).observe(span.duration_ms)
 
     # -- per-request deltas --------------------------------------------
 

@@ -8,11 +8,12 @@ A :class:`Tracer` maintains the active-span stack so the layers of the
 pipeline (federation facade, engine, fixpoint, connectors) nest their
 spans without threading a context object through every call.
 
-Tracing must be free when it is off: :data:`NOOP_SPAN` is a stateless
-singleton whose every method is a no-op, and components guard their
-instrumentation behind an ``is not None`` check on the tracer so the
-disabled path costs a pointer comparison (benchmark B3 asserts the
-overhead stays under 5%).
+Spans are also the only place the engine and fixpoint count their
+work: :data:`~repro.obs.metrics.SPAN_METRICS` derives metrics from
+them. Tracing off, a :class:`NoopTracer` hands out the stateless,
+no-op :data:`NOOP_SPAN`, except for the names in that table, which get
+a minimal counting span so metrics stay on (benchmark B3 asserts the
+disabled path costs under 5%).
 
 Production traffic cannot afford a full tree per request either, so an
 enabled tracer *samples*: a head-based coin flip per root span
@@ -49,12 +50,22 @@ import threading
 import time
 from contextlib import contextmanager
 
+from repro.obs.metrics import SPAN_METRICS
+
+#: Per span name, the attributes the metrics fold reads: the attribute
+#: cap never drops these.
+_FOLDED = {
+    name: frozenset(attribute for attribute, _ in sums)
+    for name, (_, sums, _) in SPAN_METRICS.items()
+}
+
 
 class TraceLimits:
     """Hard caps applied per trace (per root span): how many spans the
     whole tree may hold, and how many events / distinct attributes any
-    single span may carry. Overflow is dropped silently at the data
-    level and loudly at the metrics level (``obs.trace.dropped.*``)."""
+    single span may carry (attributes the metrics fold reads are always
+    kept). Overflow is dropped silently at the data level and loudly at
+    the metrics level (``obs.trace.dropped.*``)."""
 
     __slots__ = ("max_spans", "max_events", "max_attributes")
 
@@ -136,7 +147,7 @@ class Span:
             self.attributes.setdefault("error", type(exc).__name__)
             if self._budget is not None:
                 self._budget.error = True
-        self._tracer._exit(self)
+        self._tracer._exit(self, failed=exc is not None)
         return False
 
     # -- recording ----------------------------------------------------
@@ -146,7 +157,8 @@ class Span:
         budget = self._budget
         if (budget is not None
                 and key not in self.attributes
-                and len(self.attributes) >= budget.limits.max_attributes):
+                and len(self.attributes) >= budget.limits.max_attributes
+                and key not in _FOLDED.get(self.name, ())):
             self._tracer._drop("attributes")
             return self
         self.attributes[key] = value
@@ -340,8 +352,8 @@ class Tracer:
     * ``on_drop`` — called with sampled-out finished roots (the
       observability layer routes them to the slow-query log and SLO
       tracker, which must see *every* request);
-    * ``metrics`` — registry for the ``obs.trace.dropped.*`` /
-      ``obs.trace.kept.*`` accounting.
+    * ``metrics`` — registry that folds every span closing without an
+      exception, and counts ``obs.trace.dropped.*`` / ``kept.*``.
     """
 
     enabled = True
@@ -440,13 +452,16 @@ class Tracer:
         self._stack.append(span)
         span.start = self.clock()
 
-    def _exit(self, span):
+    def _exit(self, span, failed=False):
         span.end = self.clock()
         # Tolerate mispaired exits rather than corrupting the stack.
         while self._stack and self._stack[-1] is not span:
             self._stack.pop()
         if self._stack:
             self._stack.pop()
+        # Sampled-out spans and spans over the limits close here too.
+        if not failed and self.metrics is not None:
+            self.metrics.fold(span)
         if not self._stack:
             self._finish_root(span)
 
@@ -486,22 +501,51 @@ class Tracer:
             self.metrics.counter(name).inc()
 
 
+class _CountingSpan:
+    """A tracing-off span: only the attributes and the duration the
+    metrics fold reads — no tree, no events."""
+
+    __slots__ = ("name", "attributes", "metrics", "start", "duration_ms")
+
+    def __init__(self, name, attributes, metrics):
+        self.name = name
+        self.attributes = attributes
+        self.metrics = metrics
+
+    def __enter__(self):
+        self.start = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc is None:
+            self.duration_ms = (time.perf_counter() - self.start) * 1000.0
+            self.metrics.fold(self)
+        return False
+
+    def set(self, key, value):
+        self.attributes[key] = value
+        return self
+
+    def event(self, name, **attributes):
+        return self
+
+
 class NoopTracer:
-    """The disabled tracer: hands out :data:`NOOP_SPAN` and nothing
-    else. Shared as :data:`NOOP_TRACER`."""
+    """The disabled tracer: counting spans feeding ``metrics`` for the
+    names in :data:`~repro.obs.metrics.SPAN_METRICS`, :data:`NOOP_SPAN`
+    for the rest. :data:`NOOP_TRACER` has no registry and hands out
+    nothing but :data:`NOOP_SPAN`."""
 
     enabled = False
     current = None
 
+    def __init__(self, metrics=None):
+        self.metrics = metrics
+
     def span(self, name, **attributes):
-        return NOOP_SPAN
-
-    def child_span(self, parent, name, **attributes):
-        return None
-
-    @contextmanager
-    def adopt(self, span):
-        yield span
+        if self.metrics is None or name not in SPAN_METRICS:
+            return NOOP_SPAN
+        return _CountingSpan(name, attributes, self.metrics)
 
 
 NOOP_TRACER = NoopTracer()

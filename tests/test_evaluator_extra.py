@@ -129,13 +129,6 @@ class TestNestedObjects:
 
 
 class TestContext:
-    def test_trace_hook_fires(self, universe):
-        seen = []
-        context = EvalContext(trace=lambda expr, obj, subst: seen.append(expr))
-        list(satisfy(parse_query("?.euter.r(.stkCode=hp)").expr, universe,
-                     None, context))
-        assert seen
-
     def test_reorder_off_rejects_unsafe_order(self, universe):
         context = EvalContext(reorder=False)
         query = parse_query("?.euter.r(.clsPrice>P), .euter.r(.clsPrice=P)")

@@ -204,15 +204,6 @@ class TestMaintenanceObservability:
         assert obs.metrics.counter_value("fixpoint.maintain.runs") == 2
         assert obs.metrics.counter_value("fixpoint.maintain.overdeleted") > 0
 
-    def test_stats_counters(self):
-        engine = self.build(Observability(enabled=False))
-        engine.update("?.g.edge+(.a=3, .b=4)")
-        stats = engine.fixpoint_stats
-        assert stats.maintained_strata >= 1
-        assert stats.maintain_seeded >= 1
-        assert stats.maintain_fallbacks == 0
-        assert "maintained" in repr(stats)
-
     def test_maintain_span_shape(self):
         obs = Observability(enabled=True)
         collector = obs.add_exporter(InMemoryCollector())
