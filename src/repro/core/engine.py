@@ -13,9 +13,11 @@ materialization cache, and an update executor. Typical use::
     engine.update("?.euter.r+(.date=3/5/85,.stkCode=hp,.clsPrice=70)")
 
 Queries run against the *merged* view (base universe plus materialized
-derived overlay); updates run against the base universe only, wrapped in
-a snapshot transaction (atomic by default), and then repair or drop the
-cached views they affected.
+derived overlay); updates run against the base universe only. An update
+is a transaction (atomic by default) whose change log is its undo log: a
+failure replays the log in reverse, so its cost follows the rows the
+request changed, not the size of the universe. A successful update then
+repairs or drops the cached views it affected.
 """
 
 from __future__ import annotations
@@ -286,17 +288,20 @@ class IdlEngine:
         from repro.core.terms import Const
 
         stats = fixpoint.FixpointStats(self.fixpoint_method)
-        acc_inserts, acc_deletes, symbolic = delta.fold()
-        acc_inserts = {path: dict(elems) for path, elems in acc_inserts.items()}
-        acc_deletes = {path: dict(elems) for path, elems in acc_deletes.items()}
+        inserts, deletes, symbolic = delta.fold()
+        # The accumulated deltas (the update's own changes plus the
+        # derived changes of SCCs repaired so far) as overlays, built
+        # once per pass and grown as each SCC is repaired.
+        insert_delta = fixpoint.paths_overlay(inserts)
+        delete_delta = fixpoint.paths_overlay(deletes)
         # Paths whose delta is unknown: symbolic records, plus the
         # targets of any SCC that fell back — SCCs reading them cannot
         # be repaired.
         unknown = [tuple(Const(name) for name in path)
                    for path in sorted(symbolic)]
         changed_patterns = list(touched_patterns)
-        seeded = (sum(len(v) for v in acc_inserts.values())
-                  + sum(len(v) for v in acc_deletes.values()))
+        seeded = (sum(len(v) for v in inserts.values())
+                  + sum(len(v) for v in deletes.values()))
         rules = {id(rule): rule for rule in self.program.rules}
         derived_added = {}
         derived_removed = {}
@@ -329,20 +334,20 @@ class IdlEngine:
                     try:
                         added, removed = fixpoint.maintain_stratum(
                             stratum, variants, view_base, overlay,
-                            fixpoint.paths_overlay(acc_inserts),
-                            fixpoint.paths_overlay(acc_deletes),
-                            stats, self.eval_ctx,
+                            insert_delta, delete_delta, stats, self.eval_ctx,
                         )
                     except fixpoint.MaintenanceAborted as aborted:
                         # The overlay is partially mutated: unusable.
                         reason = aborted.reason
                 if reason is None:
                     for names, elements in added.items():
-                        acc_inserts.setdefault(names, {}).update(elements)
                         derived_added.setdefault(names, {}).update(elements)
+                        for element in elements.values():
+                            fixpoint.set_path_fact(insert_delta, names, element)
                     for names, elements in removed.items():
-                        acc_deletes.setdefault(names, {}).update(elements)
                         derived_removed.setdefault(names, {}).update(elements)
+                        for element in elements.values():
+                            fixpoint.set_path_fact(delete_delta, names, element)
                     repaired += 1
                     span.event(
                         "stratum-repaired",
@@ -597,40 +602,39 @@ class IdlEngine:
 
     def update(self, source, atomic=True, **params):
         """Execute an update request (program calls and view updates
-        included). ``atomic=True`` snapshots the universe and rolls back
-        on any error; the request still *succeeds-or-not* per the paper's
-        success/failure semantics — inspect the returned UpdateResult."""
-        from repro.core.updates import UpdateContext, UpdateDelta
+        included); the request still *succeeds-or-not* per the paper's
+        success/failure semantics — inspect the returned UpdateResult.
+
+        Every change lands in the request's change log,
+        ``result.delta`` (:class:`~repro.core.updates.UpdateDelta`),
+        which is also its undo log. With ``atomic=True`` an error — in
+        evaluation or from a declared constraint — replays the log in
+        reverse: the base ends equal to its pre-state, in iteration
+        order too, and the live view cache stays as it was, since views
+        are maintained only after success. With ``atomic=False`` an
+        error keeps the partial work, re-keys the sets under the
+        touched paths and drops the view cache. A successful request
+        re-keys each set element it mutates as it goes, so it needs no
+        reindex pass; it then repairs or drops the views it dirtied.
+        """
+        from repro.core.updates import UpdateContext, reindex_touched
 
         statement = self._one_query(source, allow_update=True)
         executor = UpdateExecutor(self.program, self.universe, self.eval_ctx)
-        # Capture concrete element-level deltas only when some SCC is
-        # live to maintain with them; otherwise the capture hooks stay
-        # no-ops and the update pays nothing.
-        capture = self.maintain and bool(self._sccs)
-        uctx = UpdateContext(self.eval_ctx,
-                             delta=UpdateDelta() if capture else None)
-        snapshot = self.universe.snapshot() if atomic else None
+        uctx = UpdateContext(self.eval_ctx)
         with self._tracer.span("engine.update") as span:
             try:
                 result = executor.execute_request(statement, params or None,
                                                   uctx=uctx)
-                # Value-keyed set indexes only go stale when an element
-                # was mutated in place; pure insert/delete requests keep
-                # every surviving key intact.
-                if uctx.modified:
-                    self._reindex_universe()
                 if len(self.constraints):
                     self.constraints.enforce(self.universe)
             except IdlError:
-                if snapshot is not None:
-                    self._restore(snapshot)
+                if atomic:
+                    uctx.delta.undo()
                 else:
-                    # Non-atomic failure: the base may be partially mutated,
-                    # so cached views (and set indexes) must not survive.
-                    self._reindex_universe()
+                    reindex_touched(self.universe, uctx.touched)
                     self.invalidate()
-                span.set("rolled_back", snapshot is not None)
+                span.set("rolled_back", atomic)
                 raise
             span.set("inserted", result.inserted)
             span.set("deleted", result.deleted)
@@ -672,17 +676,6 @@ class IdlEngine:
         items = ", ".join(f".{key}={_literal(value)}" for key, value in args.items())
         return self.update(f"?.{db}.{program}({items})")
 
-    def _restore(self, snapshot):
-        for name in list(self.universe.attr_names()):
-            self.universe.remove(name)
-        for name in snapshot.attr_names():
-            self.universe.set(name, snapshot.get(name))
-        self.invalidate()
-
-    def _reindex_universe(self):
-        """Rebuild set value-indexes after in-place element mutation."""
-        _reindex(self.universe)
-
     # -- helpers ------------------------------------------------------------
 
     def _one_query(self, source, allow_update=False):
@@ -712,16 +705,3 @@ def _literal(value):
         return repr(value)
     raise SemanticError(f"cannot render {type(value).__name__} as an IDL literal")
 
-
-def _reindex(obj):
-    if obj.is_set:
-        # Direct view iteration is safe: recursing mutates the elements'
-        # own internals, never this set's key dict; reindex() runs after
-        # the loop completes (and only bumps the version — invalidating
-        # attribute indexes — when the mapping actually changed).
-        for element in obj:
-            _reindex(element)
-        obj.reindex()
-    elif obj.is_tuple:
-        for name in obj.attr_names():
-            _reindex(obj.get(name))

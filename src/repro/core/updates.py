@@ -39,9 +39,14 @@ Ordering rules (the paper makes update order significant):
   not changed") makes the intended domain clear. Documented as a
   semantic clarification in DESIGN.md.
 
-Mutations happen in place on the base universe; the engine wraps
-requests in a snapshot-rollback transaction and reindexes sets whose
-elements were mutated.
+Mutations happen in place on the base universe, and every one is
+logged in the request's :class:`UpdateDelta` before or as it lands: the
+log is both the delta that incremental view maintenance folds and the
+undo log that ``IdlEngine.update`` replays in reverse when an atomic
+request fails. A set element mutated in place is re-keyed in its set
+(``SetObject.refresh``) as soon as its edit is done, so a finished
+request leaves every set's keys equal to its elements' values with no
+reindex pass.
 """
 
 from __future__ import annotations
@@ -57,49 +62,130 @@ from repro.objects.tuple import TupleObject
 
 
 class UpdateDelta:
-    """Concrete per-path record of what one update request changed.
+    """The change log of one update request, in order: what changed, and
+    how to take each change back.
 
-    ``touched`` names the ``(db, rel)`` prefixes an update *may* have
-    affected; this records exactly *which elements* were inserted into
-    and deleted from each mutated set, so the engine can repair a
-    materialized view stratum in place instead of rebuilding it
-    (:func:`repro.core.fixpoint.maintain_stratum`). Elements are copied
-    at record time — a later in-place mutation of the live object cannot
-    retroactively change the log.
+    Each record is ``(op, path, element, undo)``:
 
-    Mutations that are not expressible as set-level insert/delete pairs
-    — creating or dropping an attribute, nulling an atom that is not
-    inside a set element — are recorded as *symbolic* paths: the delta
-    for them is unknown and any stratum reading those paths must fall
-    back to a full rebuild.
+    * ``+`` / ``-`` — ``element`` was inserted into / deleted from the set
+      ``undo`` at ``path``. Elements are copied at record time, so a
+      later in-place mutation of the live object cannot retroactively
+      change the log.
+    * ``?`` — a change that is not a set-level insert/delete: a tuple
+      plus or minus (creating, replacing or dropping an attribute), or
+      an atom changed outside any set element. Its delta is *symbolic*
+      (unknown): any view stratum reading ``path`` must fall back to a
+      rebuild. ``undo`` is ``(parent, name, old)`` for a tuple slot —
+      ``old`` is the object the change replaced or removed, None when
+      the slot did not exist — or ``(atom, old_value)`` for an atom. The
+      replaced object is detached, so it is kept without a copy.
 
-    The log is chronological so a caller can roll a suffix back:
-    the update evaluator rewrites the deep records produced while
-    mutating a set element in place into one whole-element
-    delete+insert pair at the owning set's path (see
-    ``_update_set_expr``).
+    An in-place edit of a set element is rewritten, once the element is
+    done, into one whole-element ``-pre``/``+post`` pair at the owning
+    set's path (see :meth:`record_refresh`), so every record that
+    survives a finished element names a set reachable from the
+    universe.
+
+    The log has two readers. Incremental view maintenance folds it into
+    net per-path inserts and deletes (:meth:`fold`,
+    :func:`repro.core.fixpoint.maintain_stratum`). The engine's
+    transaction replays it in reverse to roll a failed request back
+    (:meth:`undo`): the cost of atomicity is proportional to what the
+    request changed, not to the size of the universe. Records made
+    without an ``undo`` target fold like any other but cannot be undone.
     """
 
-    __slots__ = ("_log",)
+    __slots__ = ("_log", "_orders")
 
     def __init__(self):
         self._log = []
+        # id(obj) -> (obj, key order) for every set or tuple that lost a
+        # member, taken just before its first loss: undo re-adds lost
+        # members at the end, then puts them back in place from this.
+        self._orders = {}
 
-    def record_insert(self, path, element):
-        self._log.append(("+", tuple(path), element.copy()))
+    def record_insert(self, path, element, owner=None):
+        """Log ``element`` as inserted into the set ``owner``."""
+        self._log.append(("+", tuple(path), element.copy(), owner))
 
-    def record_delete(self, path, element):
-        self._log.append(("-", tuple(path), element.copy()))
+    def record_delete(self, path, element, owner=None):
+        """Log ``element`` as deleted from the set ``owner``; call it
+        *before* removing the element."""
+        if owner is not None:
+            self._keep_order(owner)
+        self._log.append(("-", tuple(path), element.copy(), owner))
 
-    def mark_symbolic(self, path):
-        self._log.append(("?", tuple(path), None))
+    def record_slot(self, path, parent, name):
+        """Log a tuple plus or minus on attribute ``name`` of ``parent``;
+        call it *before* the attribute is replaced or removed."""
+        old = parent.get_or_none(name)
+        if old is not None:
+            self._keep_order(parent)
+        self.mark_symbolic(path, (parent, name, old))
+
+    def record_atom(self, path, atom):
+        """Log an atomic plus or minus on ``atom``; call it *before* the
+        value changes."""
+        self.mark_symbolic(path, (atom, atom.value))
+
+    def mark_symbolic(self, path, undo=None):
+        """Log a change whose delta at ``path`` is unknown; ``undo`` is
+        the ``?`` record's undo target (see the class docstring)."""
+        self._log.append(("?", tuple(path), None, undo))
+
+    def record_refresh(self, path, owner, element, preimage):
+        """Re-key ``element`` in the set ``owner`` after an in-place edit
+        and log the net change at ``path``: ``-preimage`` when the element
+        was stored under the pre-image's key, ``-displaced`` when its new
+        value collapsed onto another element
+        (:meth:`~repro.objects.set.SetObject.refresh`), then
+        ``+element``. ``preimage`` is a private copy, logged as is."""
+        path = tuple(path)
+        old_key = preimage.value_key()
+        self._keep_order(owner)
+        if owner.lookup(old_key) is element:
+            self._log.append(("-", path, preimage, owner))
+        displaced = owner.refresh(element, old_key)
+        if displaced is not None:
+            # Copied: the evaluator may still visit and mutate it.
+            self._log.append(("-", path, displaced.copy(), owner))
+        self.record_insert(path, element, owner)
+
+    def _keep_order(self, obj):
+        if id(obj) not in self._orders:
+            self._orders[id(obj)] = (obj, obj.key_order())
 
     def mark(self):
         """A rollback token for the current end of the log."""
         return len(self._log)
 
     def rollback(self, mark):
+        """Forget the records after ``mark`` (the base is not touched)."""
         del self._log[mark:]
+
+    def undo(self):
+        """Take every logged change back, newest first, then restore the
+        member order of each set and tuple that lost a member. The base
+        ends equal to its state before the first record — by value and
+        in iteration order. Empties the log."""
+        for op, _, element, target in reversed(self._log):
+            if op == "+":
+                target.discard_value(element)
+            elif op == "-":
+                target.add(element)
+            elif len(target) == 2:
+                atom, value = target
+                atom.value = value
+            else:
+                parent, name, old = target
+                if old is None:
+                    parent.remove(name)
+                else:
+                    parent.set(name, old)
+        for obj, order in self._orders.values():
+            obj.restore_key_order(order)
+        self._log.clear()
+        self._orders.clear()
 
     @property
     def changed(self):
@@ -114,7 +200,7 @@ class UpdateDelta:
         ``symbolic`` is the set of paths whose delta is unknown.
         """
         inserts, deletes, symbolic = {}, {}, set()
-        for op, path, element in self._log:
+        for op, path, element, _ in self._log:
             if op == "?":
                 symbolic.add(path)
                 continue
@@ -129,9 +215,9 @@ class UpdateDelta:
         return inserts, deletes, symbolic
 
     def __repr__(self):
-        plus = sum(1 for op, _, _ in self._log if op == "+")
-        minus = sum(1 for op, _, _ in self._log if op == "-")
-        unknown = sum(1 for op, _, _ in self._log if op == "?")
+        plus = sum(1 for op, _, _, _ in self._log if op == "+")
+        minus = sum(1 for op, _, _, _ in self._log if op == "-")
+        unknown = sum(1 for op, _, _, _ in self._log if op == "?")
         return f"UpdateDelta(+{plus}, -{minus}, ?{unknown})"
 
 
@@ -140,9 +226,9 @@ class UpdateResult:
 
     ``touched`` is the set of ``(db, rel)`` path prefixes whose contents
     were mutated — the engine's selective re-materialization uses it to
-    rebuild only the affected view strata. ``delta`` (optional) is the
-    :class:`UpdateDelta` of concrete element-level changes when the
-    engine asked for capture; it drives incremental view maintenance.
+    rebuild only the affected view strata. ``delta`` is the request's
+    :class:`UpdateDelta`: it drives incremental view maintenance, and
+    its :meth:`~UpdateDelta.undo` takes the request back.
     """
 
     __slots__ = ("substitutions", "inserted", "deleted", "modified", "touched",
@@ -175,23 +261,19 @@ class UpdateResult:
 
 
 class _UpdateContext:
-    """Mutable evaluation state shared across one update request.
-
-    ``delta`` (optional :class:`UpdateDelta`) turns on element-level
-    change capture; with ``delta=None`` every capture hook is a cheap
-    no-op, so updates that feed no materialized view pay nothing.
-    """
+    """Mutable evaluation state shared across one update request,
+    including its change log ``delta`` (an :class:`UpdateDelta`)."""
 
     __slots__ = ("eval_ctx", "inserted", "deleted", "modified", "touched",
                  "delta", "_preimages")
 
-    def __init__(self, eval_ctx=None, delta=None):
+    def __init__(self, eval_ctx=None):
         self.eval_ctx = eval_ctx or EvalContext()
         self.inserted = 0
         self.deleted = 0
         self.modified = 0
         self.touched = set()  # (db, rel) prefixes of mutated paths
-        self.delta = delta
+        self.delta = UpdateDelta()
         # Stack of [element, copy-or-None] cells for set elements being
         # mutated in place; ``fire_preimages`` copies each element the
         # moment the first real mutation beneath it is about to happen.
@@ -199,20 +281,6 @@ class _UpdateContext:
 
     def touch(self, path):
         self.touched.add(tuple(path[:2]))
-
-    # -- delta capture hooks (all no-ops when ``delta`` is None) -------------
-
-    def record_insert(self, path, element):
-        if self.delta is not None:
-            self.delta.record_insert(path, element)
-
-    def record_delete(self, path, element):
-        if self.delta is not None:
-            self.delta.record_delete(path, element)
-
-    def mark_symbolic(self, path):
-        if self.delta is not None:
-            self.delta.mark_symbolic(path)
 
     def push_preimage(self, element):
         """Register a set element about to be (possibly) mutated in
@@ -264,6 +332,36 @@ def apply_request(request, universe, bindings=None, eval_ctx=None):
             break
     return UpdateResult(substitutions, uctx.inserted, uctx.deleted,
                         uctx.modified, uctx.touched, delta=uctx.delta)
+
+
+def reindex_touched(universe, touched):
+    """Re-key every set under the ``(db, rel)`` prefixes ``touched``.
+
+    A request interrupted by an error can leave a set element mutated in
+    place but not yet re-keyed in its set. An atomic request undoes its
+    log instead; a non-atomic one keeps its partial work and calls this.
+    """
+    for prefix in touched:
+        obj = universe
+        for name in prefix:
+            if not obj.is_tuple or not obj.has(name):
+                break
+            obj = obj.get(name)
+        else:
+            _reindex_tree(obj)
+
+
+def _reindex_tree(obj):
+    if obj.is_set:
+        # Innermost first: an element's key depends on its own sets'
+        # keys. Recursing mutates the elements' internals, never this
+        # set's key dict, so the live view is safe to iterate.
+        for element in obj:
+            _reindex_tree(element)
+        obj.reindex()
+    elif obj.is_tuple:
+        for name in obj.attr_names():
+            _reindex_tree(obj.get(name))
 
 
 def apply_conjunct(conjunct, universe, substitutions, uctx=None):
@@ -369,10 +467,10 @@ def _update_attr_step(expr, obj, subst, uctx, excluded, path=()):
         if name is None or name is NOT_A_NAME:
             raise UpdateError(f"tuple plus needs a known attribute name: {expr!r}")
         uctx.fire_preimages()
+        uctx.delta.record_slot(path + (name,), obj, name)
         obj.set(name, _empty_for(expr.expr))
         uctx.modified += 1
         uctx.touch(path + (name,))
-        uctx.mark_symbolic(path + (name,))
         for extended in _apply_plus(expr.expr, obj, name, subst, uctx,
                                     path + (name,)):
             yield extended
@@ -433,11 +531,11 @@ def _tuple_minus(expr, obj, subst, uctx, excluded, path=()):
     for attr_name, _ in matches:
         if attr_name not in removed and obj.has(attr_name):
             uctx.fire_preimages()
+            uctx.delta.record_slot(path + (attr_name,), obj, attr_name)
             obj.remove(attr_name)
             removed.add(attr_name)
             uctx.deleted += 1
             uctx.touch(path + (attr_name,))
-            uctx.mark_symbolic(path + (attr_name,))
 
     if ground:
         yield subst
@@ -463,7 +561,7 @@ def _update_set_expr(expr, obj, subst, uctx, path=()):
             if obj.add(element):
                 uctx.inserted += 1
                 uctx.touch(path)
-                uctx.record_insert(path, element)
+                uctx.delta.record_insert(path, element, obj)
         yield subst
         return
 
@@ -479,10 +577,10 @@ def _update_set_expr(expr, obj, subst, uctx, path=()):
             if key not in removed:
                 removed.add(key)
                 uctx.fire_preimages()
+                uctx.delta.record_delete(path, element, obj)
                 obj.discard_value(element)
                 uctx.deleted += 1
                 uctx.touch(path)
-                uctx.record_delete(path, element)
         if ground:
             yield subst
         else:
@@ -495,31 +593,28 @@ def _update_set_expr(expr, obj, subst, uctx, path=()):
         return
 
     # Unsigned set expression with inner updates: select elements, mutate
-    # them in place, then re-index the set (elements are value-keyed).
+    # them in place, then re-key each mutated one (elements are
+    # value-keyed).
     results = []
     delta = uctx.delta
     for element in obj.elements():
         before = (uctx.inserted, uctx.deleted, uctx.modified)
-        if delta is not None:
-            mark = delta.mark()
-            token = uctx.push_preimage(element)
+        mark = delta.mark()
+        token = uctx.push_preimage(element)
         for extended in _update_satisfy(expr.inner, element, subst, uctx,
                                         frozenset(), path):
             results.append(extended)
-        preimage = uctx.pop_preimage(token) if delta is not None else None
+        preimage = uctx.pop_preimage(token)
         if (uctx.inserted, uctx.deleted, uctx.modified) != before:
-            obj.refresh(element)
+            # Every counted mutation fired the pre-image first, so
+            # ``preimage`` is set. The records made while mutating the
+            # element describe positions inside it; rewrite them as one
+            # whole-element change at the owning set's path. Until this
+            # point an error leaves them in place, and undo replays
+            # them inside the element.
             uctx.touch(path)
-            if delta is not None:
-                # The records made while mutating the element describe
-                # positions inside it; rewrite them as one whole-element
-                # delete+insert at the owning set's path.
-                delta.rollback(mark)
-                if preimage is None:
-                    delta.mark_symbolic(path)
-                else:
-                    delta.record_delete(path, preimage)
-                    delta.record_insert(path, element)
+            delta.rollback(mark)
+            delta.record_refresh(path, obj, element, preimage)
     for extended in results:
         yield extended
 
@@ -535,10 +630,10 @@ def _apply_atomic_update(expr, obj, subst, uctx, path=()):
         if not value_obj.is_atom:
             raise UpdateError("atomic plus requires an atomic value")
         uctx.fire_preimages()
+        uctx.delta.record_atom(path, obj)
         obj.value = value_obj.value
         uctx.modified += 1
         uctx.touch(path)
-        uctx.mark_symbolic(path)
         yield subst
         return
 
@@ -549,20 +644,20 @@ def _apply_atomic_update(expr, obj, subst, uctx, path=()):
             return  # nothing to bind: the null atom satisfies no expression
         bound = subst.bind(term.name, Atom(obj.value))
         uctx.fire_preimages()
+        uctx.delta.record_atom(path, obj)
         obj.value = None
         uctx.modified += 1
         uctx.touch(path)
-        uctx.mark_symbolic(path)
         yield bound
         return
     value_obj = evaluate_term(term, subst)
     if obj.is_atom and value_obj.is_atom and not obj.is_null:
         if obj.compare("=", value_obj.value):
             uctx.fire_preimages()
+            uctx.delta.record_atom(path, obj)
             obj.value = None
             uctx.modified += 1
             uctx.touch(path)
-            uctx.mark_symbolic(path)
     yield subst
 
 

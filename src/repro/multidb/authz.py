@@ -165,8 +165,11 @@ class AuthorizedSession:
 
     def update(self, source, **params):
         """Run an update request; roll back unless every touched
-        ``(db, rel)`` is covered by a write grant."""
-        snapshot = self.engine.universe.snapshot()
+        ``(db, rel)`` is covered by a write grant.
+
+        The rollback undoes the request's change log (``result.delta``)
+        and then drops the view cache, which the engine already
+        maintained for the committed request."""
         result = self.engine.update(source, atomic=True, **params)
         unauthorized = [
             prefix
@@ -177,7 +180,8 @@ class AuthorizedSession:
             )
         ]
         if unauthorized:
-            self.engine._restore(snapshot)
+            result.delta.undo()
+            self.engine.invalidate()
             rendered = ", ".join(".".join(prefix) for prefix in sorted(unauthorized))
             raise AuthorizationError(
                 f"principal {self.principal!r} may not write {rendered}"

@@ -198,29 +198,45 @@ class SetObject(IdlObject):
             self._version += 1
         self._elements.clear()
 
-    def refresh(self, obj):
-        """Re-index ``obj`` after in-place mutation of a member.
+    def refresh(self, obj, old_key=None):
+        """Re-key ``obj`` after an in-place mutation of a member; returns
+        the element its new value displaced, or None.
 
         Elements are keyed by value; callers that mutate a member *in
         place* (the update evaluator does, for tuple/atomic updates inside
         set expressions) must call this with the mutated element so the
-        index stays consistent and value-duplicates collapse.
+        index stays consistent. When the new value equals another
+        element's, the two collapse: ``obj`` takes that key and the other
+        element leaves the set and is returned, so a caller can log the
+        loss. ``obj`` moves to the end of the iteration order.
+
+        ``old_key`` is the key ``obj`` was stored under before the
+        mutation (its pre-image's ``value_key()``). Given it, refresh
+        skips the O(n) identity scan; an ``obj`` not stored under it —
+        say, displaced by an earlier refresh — is added back.
         """
-        stale_keys = [
-            key for key, element in self._elements.items() if element is obj
-        ]
-        for key in stale_keys:
-            del self._elements[key]
-        self._elements[obj.value_key()] = obj
+        elements = self._elements
+        if old_key is not None:
+            if elements.get(old_key) is obj:
+                del elements[old_key]
+        else:
+            for key in [key for key, element in elements.items()
+                        if element is obj]:
+                del elements[key]
+        key = obj.value_key()
+        displaced = elements.get(key)
+        elements[key] = obj
         self._version += 1
+        return displaced
 
     def reindex(self):
         """Rebuild the whole value index (after bulk in-place mutation).
 
-        Bumps the version — and therefore drops the attribute indexes —
-        only when the rebuilt mapping actually differs, so the engine's
-        defensive whole-universe reindex after an update does not evict
-        indexes on sets the update never touched.
+        Updates re-key each element they mutate with :meth:`refresh`, so
+        only an update interrupted midway (a non-atomic failure, see
+        :func:`repro.core.updates.reindex_touched`) needs this. Bumps the
+        version — and therefore drops the attribute indexes — only when
+        the rebuilt mapping actually differs.
         """
         fresh = {}
         for obj in self._elements.values():
@@ -238,6 +254,24 @@ class SetObject(IdlObject):
         if changed:
             self._version += 1
         self._elements = fresh
+
+    def lookup(self, key):
+        """The element stored under value key ``key``, or None."""
+        return self._elements.get(key)
+
+    def key_order(self):
+        """The element keys in iteration order (references, no copies)."""
+        return list(self._elements)
+
+    def restore_key_order(self, keys):
+        """Put the elements back in the order of ``keys``, an earlier
+        :meth:`key_order`; elements it does not list follow in their
+        current order."""
+        elements = self._elements
+        ordered = {key: elements[key] for key in keys if key in elements}
+        ordered.update(elements)
+        self._elements = ordered
+        self._version += 1
 
     # -- value semantics --------------------------------------------------
 

@@ -80,6 +80,18 @@ class TupleObject(IdlObject):
     def remove_if_present(self, name):
         self._attrs.pop(name, None)
 
+    #: The attribute names in order, as :meth:`restore_key_order` takes.
+    key_order = attr_names
+
+    def restore_key_order(self, names):
+        """Put the attributes back in the order of ``names``, an earlier
+        :meth:`key_order`; attributes it does not list follow in their
+        current order."""
+        attrs = self._attrs
+        ordered = {name: attrs[name] for name in names if name in attrs}
+        ordered.update(attrs)
+        self._attrs = ordered
+
     # -- value semantics --------------------------------------------------
 
     def value_key(self):

@@ -80,7 +80,7 @@ class Universe(TupleObject):
     # -- misc ---------------------------------------------------------------
 
     def snapshot(self):
-        """A deep copy of the whole universe (used for rollback)."""
+        """A deep copy of the whole universe."""
         fresh = Universe()
         for name in self.attr_names():
             fresh.set(name, self.get(name).copy())

@@ -131,20 +131,25 @@ class TestDeltaCapture:
         _, _, symbolic = result.delta.fold()
         assert symbolic == {("a", "r")}  # unknown delta: fall back
 
-    def test_no_capture_without_materialization(self):
+    def test_capture_without_materialization(self):
         engine = IdlEngine()
         engine.add_database("a", {"r": [{"x": 1}]})
         engine.define(".v.p(.x=X) <- .a.r(.x=X)")
-        # No materialized view yet: capture would be wasted work.
-        result = engine.update("?.a.r+(.x=2)")
-        assert result.delta is None
+        # No materialized view yet: the log is still kept, because it is
+        # also the request's undo log.
+        inserts, deletes, symbolic = engine.update("?.a.r+(.x=2)").delta.fold()
+        assert list(inserts) == [("a", "r")]
+        assert deletes == {} and symbolic == set()
 
-    def test_no_capture_when_disabled(self):
+    def test_capture_with_maintenance_off(self):
         engine = IdlEngine(maintain=False)
         engine.add_database("a", {"r": [{"x": 1}]})
         engine.define(".v.p(.x=X) <- .a.r(.x=X)")
         engine.materialized_view()
-        assert engine.update("?.a.r+(.x=2)").delta is None
+        inserts, _, _ = engine.update("?.a.r+(.x=2)").delta.fold()
+        assert list(inserts) == [("a", "r")]
+        # The dirty SCC was dropped, not repaired: the view rebuilds.
+        assert engine.ask("?.v.p(.x=2)")
 
 
 TC = (
