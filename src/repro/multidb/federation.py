@@ -60,7 +60,6 @@ from repro.multidb.resilience import (
 )
 from repro.multidb.results import (
     APPLIED,
-    FAILED,
     SNAPSHOT_ONLY,
     UNCHANGED,
     QueryResult,
@@ -623,8 +622,6 @@ class Federation:
             for name in names
         ]
         for outcome in self.executor.map(tasks, label="prefetch"):
-            if outcome.skipped:
-                continue
             if outcome.error is None:
                 self._prefetched[outcome.name] = outcome.value
             elif isinstance(outcome.error, MemberUnavailableError):
@@ -648,9 +645,7 @@ class Federation:
             relations = self.connectors[name].scan()
         style = self._resolve_style(name, self.members[name], relations)
         self.members[name] = style
-        if self.engine.universe.has(name):
-            self.engine.drop_database(name)
-        self.engine.add_database(name, relations)
+        self._load_member(name, relations)
         self._attached.add(name)
         self.quarantined.pop(name, None)
         self._stale.pop(name, None)
@@ -667,36 +662,27 @@ class Federation:
             self._wired.add(name)
         if self._recovered:
             # Post-recovery, the journal outranks the member's own state:
-            # a member that was unreachable during recover() and owes
-            # pending updates is rolled forward now, not left at the
-            # (pre-update) state the attach scan just pulled.
-            self._replay_pending_member(name)
+            # a member that was unreachable during recover() is rolled
+            # forward through every pending update it still owes, not
+            # left at the (pre-update) state the attach scan just
+            # pulled. A failed delivery leaves it stale (push) and owed.
+            owing = [update for update in self.journal.pending()
+                     if name in update.remaining]
+            if owing:
+                with self.obs.span("federation.replay", member=name) as span:
+                    for update in owing:
+                        owed = {name: update.desired[name]}
+                        self._load_member(name, owed[name])
+                        self._roll_forward(update.update_id, owed, span,
+                                           via="recover")
         return self
 
-    def _replay_pending_member(self, name):
-        """Roll one just-recovered member forward through every pending
-        journaled update it still owes (oldest first)."""
-        pending = [
-            update for update in self.journal.pending()
-            if name in update.remaining
-        ]
-        if not pending:
-            return
-        with self.obs.span("federation.replay", member=name) as span:
-            for update in pending:
-                desired = update.desired[name]
-                self._crash_point("connector.apply")
-                self.connectors[name].apply(desired)
-                self.journal.record_member(update.update_id, name, "applied",
-                                           via="recover")
-                if self.engine.universe.has(name):
-                    self.engine.drop_database(name)
-                self.engine.add_database(name, desired)
-                span.event("replay", update_id=update.update_id, member=name)
-                if not [m for m in update.desired if m not in
-                        self.journal.applied_members(update.update_id)]:
-                    self.journal.commit(update.update_id)
-                    span.event("commit", update_id=update.update_id)
+    def _load_member(self, name, relations):
+        """Make ``relations`` the universe's snapshot of ``name`` (the
+        one place a registered member's snapshot is replaced)."""
+        if self.engine.universe.has(name):
+            self.engine.drop_database(name)
+        self.engine.add_database(name, relations)
 
     def _quarantine(self, name, reason):
         """Detach ``name``: drop its snapshot, remember why. Its rules
@@ -719,17 +705,7 @@ class Federation:
             raise FederationError(f"no member named {name!r}")
         if not self.connectors[name].probe():
             return False
-        if name in self.quarantined:
-            try:
-                self._attach(name)
-            except MemberUnavailableError:
-                return False
-        elif name in self._stale:
-            try:
-                self.resync(name)
-            except MemberUnavailableError:
-                return False
-        return True
+        return self._heal(name)
 
     def probe_all(self):
         """Probe every member concurrently; returns ``{name: healthy}``.
@@ -762,30 +738,37 @@ class Federation:
                 for outcome in outcomes
             }
             for name in order:
-                if not healthy[name]:
-                    continue
-                if name in self.quarantined:
-                    try:
-                        self._attach(name)
-                    except MemberUnavailableError:
-                        healthy[name] = False
-                elif name in self._stale:
-                    try:
-                        self.resync(name)
-                    except MemberUnavailableError:
-                        healthy[name] = False
+                if healthy[name]:
+                    healthy[name] = self._heal(name)
         return healthy
+
+    def _heal(self, name):
+        """The recovery step for a member that answered its probe:
+        re-attach it if quarantined, resync it if stale. True when it
+        ends attached and fresh — a member whose roll-forward failed as
+        it re-attached is still stale, so it is not."""
+        try:
+            if name in self.quarantined:
+                self._attach(name)
+            elif name in self._stale:
+                self.resync(name)
+        except MemberUnavailableError:
+            return False
+        return name not in self._stale
 
     def resync(self, name):
         """Repair a stale member.
 
-        Direction depends on how it went stale: a failed flush is
-        re-*pushed* (the universe is ahead of the member); a member that
-        recovered from an outage is re-*pulled* (the member is the
-        authority on its own data). A successful push also settles the
-        member's share of every pending journaled update — the pushed
-        state subsumes each journaled desired state — committing
-        updates it completes.
+        Direction depends on how it went stale: a member that did not
+        take a journaled state (a failed flush, recover or re-attach
+        replay) is re-*pushed*; a member that recovered from an outage
+        is re-*pulled* (the member is the authority on its own data).
+        A push delivers the universe's snapshot of the member, which is
+        the newest journaled state it owes (the flush stages its intent
+        from that snapshot; recover and the re-attach replay load the
+        journaled state into it before delivering), so a successful
+        push settles the member's share of every pending journaled
+        update, committing updates it completes.
         """
         direction = self._stale.get(name, "pull")
         if direction == "push":
@@ -794,10 +777,7 @@ class Federation:
             )
             self.journal.resolve_member(name, via="resync")
         else:
-            relations = self.connectors[name].scan()
-            if self.engine.universe.has(name):
-                self.engine.drop_database(name)
-            self.engine.add_database(name, relations)
+            self._load_member(name, self.connectors[name].scan())
         self._stale.pop(name, None)
         return self
 
@@ -808,14 +788,20 @@ class Federation:
 
         For every pending intent (oldest first), each member that never
         journaled an ``applied`` outcome is rolled *forward* to its
-        journaled desired state — full states, so re-applying is
-        idempotent and a second :meth:`recover` is a no-op. Members
-        journaled applied are not touched. A member that cannot be
-        reached stays quarantined/stale exactly as a failed flush
-        leaves it (its share replays on the next recover, probe or
-        resync). A pending update older than a later *committed* one is
-        anomalous — replaying it would roll members backwards — and is
-        aborted as superseded.
+        journaled desired state through :meth:`_roll_forward` — full
+        states, so re-applying is idempotent and a second
+        :meth:`recover` is a no-op. Members journaled applied are not
+        touched. An attached member's universe snapshot is set to the
+        state it owes before delivery (the journal outranks the
+        pre-update state install scanned), so a member that fails its
+        apply is stale (push), exactly as a failed flush leaves it, and
+        the push resync that repairs it delivers the journaled state.
+        A quarantined member stays quarantined; its share replays when
+        it re-attaches. A pending update older than a later *committed*
+        one is anomalous — replaying it would roll members backwards —
+        and is aborted as superseded. Errors other than
+        :class:`~repro.errors.MemberUnavailableError` propagate once
+        the update's outcomes are recorded.
 
         ``journal`` (optional) adopts a different journal first —
         typically a :class:`~repro.multidb.journal.FileJournal` reopened
@@ -847,80 +833,76 @@ class Federation:
                     root.event("abort-superseded",
                                update_id=update.update_id)
                     continue
-                done = self._replay_update(update, root)
+                owed = {}
+                for member in update.remaining:
+                    if member not in self.members:
+                        root.event("skip-unknown-member",
+                                   update_id=update.update_id, member=member)
+                        continue
+                    owed[member] = update.desired[member]
+                    if member in self._attached:
+                        self._load_member(member, owed[member])
+                failures = self._roll_forward(update.update_id, owed, root,
+                                              via="recover")
+                for error in failures.values():
+                    if not isinstance(error, MemberUnavailableError):
+                        raise error
+                done = [member for member in owed if member not in failures]
                 if done:
                     replayed[update.update_id] = done
             self._recovered = True
             root.set("replayed", sum(len(v) for v in replayed.values()))
         return replayed
 
-    def _replay_update(self, update, span):
-        """Roll every owed member of one pending update forward; commits
-        the update when nothing remains owed. Returns the members
-        replayed here.
+    def _roll_forward(self, update_id, owed, span, via, fail_fast=False):
+        """Deliver journaled member states: the one routine behind the
+        flush, :meth:`recover` and the replay at re-attach.
 
-        Member applies fan out through the executor (each worker
-        journals its ``applied`` record under the journal lock); the
-        engine-universe updates and span events happen here on the
-        gathering thread, in member order, because the engine is not
-        thread-safe.
+        ``owed`` maps each member to its journaled rows under
+        ``update_id``; its universe snapshot already holds them. Each
+        member's worker visits the ``connector.apply`` crash point,
+        applies the rows and journals ``applied`` — or ``failed``,
+        re-raising — with ``via``. Back on the gathering thread (the
+        engine is not thread-safe), a member that applied leaves
+        ``_stale``; every other one (failed, timed out, or skipped by a
+        serial ``fail_fast`` run) is stale (push) unless quarantined.
+        The update commits once the journal owes none of its desired
+        members. Returns ``{member: error}`` for the failures, in
+        member order.
         """
-        done = []
-        owed = []
-        for member in update.remaining:
-            if member not in self.members:
-                span.event("skip-unknown-member",
-                           update_id=update.update_id, member=member)
-                continue
-            owed.append(member)
-        tasks = [
-            MemberTask(member,
-                       self._make_replay_task(update, member),
-                       deadline=self._wall_deadline(member))
-            for member in owed
-        ]
-        for outcome in self.executor.map(tasks, label="recover"):
-            member = outcome.name
-            if outcome.skipped:
-                continue
-            if outcome.error is not None:
-                if not isinstance(outcome.error, MemberUnavailableError):
-                    raise outcome.error
-                if member not in self.quarantined:
-                    self._stale[member] = "push"
-                span.event("replay-failed", update_id=update.update_id,
-                           member=member, error=str(outcome.error))
-                continue
-            desired = update.desired[member]
-            if member in self._attached:
-                # The universe snapshot (scanned at install, possibly
-                # pre-update) must match the member we just rolled
-                # forward.
-                if self.engine.universe.has(member):
-                    self.engine.drop_database(member)
-                self.engine.add_database(member, desired)
-            self._stale.pop(member, None)
-            span.event("replay", update_id=update.update_id, member=member)
-            done.append(member)
-        if not [m for m in update.desired
-                if m not in self.journal.applied_members(update.update_id)]:
-            if not self.journal.is_committed(update.update_id):
-                self.journal.commit(update.update_id)
-                span.event("commit", update_id=update.update_id)
-        return done
 
-    def _make_replay_task(self, update, member):
-        """One member's replay body: apply the journaled desired state
-        and journal the outcome (runs on a worker in parallel mode)."""
-        desired = update.desired[member]
-
-        def replay():
+        def deliver(name, rows):
             self._crash_point("connector.apply")
-            self.connectors[member].apply(desired)
-            self.journal.record_member(update.update_id, member, "applied",
-                                       via="recover")
+            try:
+                self.connectors[name].apply(rows)
+            except Exception:
+                self.journal.record_member(update_id, name, "failed", via=via)
+                raise
+            self.journal.record_member(update_id, name, "applied", via=via)
 
-        return replay
+        tasks = [
+            MemberTask(name,
+                       (lambda name=name, rows=rows: deliver(name, rows)),
+                       deadline=self._wall_deadline(name))
+            for name, rows in owed.items()
+        ]
+        failures = {}
+        for outcome in self.executor.map(tasks, label=via,
+                                         fail_fast=fail_fast):
+            name = outcome.name
+            if outcome.ok:
+                self._stale.pop(name, None)
+                continue
+            if name not in self.quarantined:
+                self._stale[name] = "push"
+            if outcome.error is not None:
+                failures[name] = outcome.error
+                span.event("member-failed", update_id=update_id,
+                           member=name, via=via, error=str(outcome.error))
+        if not self.journal.owed(update_id):
+            self.journal.commit(update_id)
+            span.event("journal-commit", update_id=update_id)
+        return failures
 
     # -- availability -----------------------------------------------------------
 
@@ -1223,66 +1205,21 @@ class Federation:
                 span.set("update_id", update_id)
                 span.event("journal-intent", update_id=update_id,
                            members=sorted(staged))
-            # The applies fan out through the executor (workers journal
-            # their outcome under the journal lock as each lands); the
-            # intent above and the commit below stay serial, so the
-            # protocol's write-ahead ordering is unchanged. Serially
-            # (parallel="off") this is exactly the historical loop: the
-            # first failure stops it and later members are never
-            # touched.
-            tasks = [
-                MemberTask(
-                    name,
-                    (lambda name=name, desired=desired:
-                     self._apply_staged(update_id, name, desired, span)),
-                    deadline=self._wall_deadline(name),
-                )
-                for name, desired in staged.items()
-            ]
-            failure = None
-            for outcome in self.executor.map(tasks, label="flush",
-                                             fail_fast=True):
-                if outcome.skipped:
-                    continue
-                if outcome.error is None:
-                    outcomes[outcome.name] = outcome.value
-                else:
-                    outcomes[outcome.name] = FAILED
-                    if failure is None:
-                        failure = outcome.error
-            if failure is not None:
-                # Members not yet reached (serial) or not applied
-                # (parallel) are owed the staged state too: mark every
-                # non-applied member stale (push) so nothing serves a
-                # divergent snapshot as fresh.
-                for other in staged:
-                    if outcomes.get(other) != APPLIED:
-                        self._stale.setdefault(other, "push")
-                raise failure
-            if staged:
-                self.journal.commit(update_id)
-                span.event("journal-commit", update_id=update_id)
+                # The applies fan out (each worker journals its outcome
+                # under the journal lock); the intent above and the
+                # commit stay serial, so the write-ahead ordering holds.
+                # Serially the first failure stops the loop and later
+                # members are never touched. The staged rows came from
+                # the universe, so nothing is reloaded, and every member
+                # that did not apply is left stale (push).
+                failures = self._roll_forward(update_id, staged, span,
+                                              via="flush", fail_fast=True)
+                if failures:
+                    raise next(iter(failures.values()))
+                outcomes.update(dict.fromkeys(staged, APPLIED))
             span.set("members", sorted(staged))
         root.set("flushed", True)
         return outcomes, True, update_id
-
-    def _apply_staged(self, update_id, name, desired, span):
-        """Apply one member's staged state and journal the outcome. On
-        failure the member is marked stale (push) — the journaled
-        intent stays pending for resync/recover — and the error
-        propagates, exactly as an unjournaled flush failure did."""
-        self._crash_point("connector.apply")
-        try:
-            self.connectors[name].apply(desired)
-        except Exception:
-            self._stale[name] = "push"
-            if update_id is not None:
-                self.journal.record_member(update_id, name, "failed")
-            span.event("member-failed", member=name)
-            raise
-        if update_id is not None:
-            self.journal.record_member(update_id, name, "applied")
-        return APPLIED
 
     def _crash_point(self, site):
         if self.crash is not None:

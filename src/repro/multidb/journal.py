@@ -24,8 +24,11 @@ checksummed JSON-lines log of *update-commit protocol* records:
     ``member`` records; recovery replays exactly the narrowed set;
 ``member``
     one per member outcome (``applied``/``failed``), written right
-    after the member's connector ``apply`` returns, with the path that
-    produced it (``via`` = ``flush``/``recover``/``resync``);
+    after the member's connector ``apply`` returns or raises, with the
+    path that produced it (``via`` = ``flush``/``recover``/``resync``).
+    Every delivery path journals ``failed`` as well as ``applied``: the
+    flush, ``recover()`` and the replay when a member re-attaches share
+    one routine (``Federation._roll_forward``);
 ``commit``
     every member took the new state; the update is done;
 ``abort``
@@ -185,6 +188,13 @@ def decode_record(line):
     return record
 
 
+def _owed(desired, applied):
+    """The completion rule: desired members with no ``applied``
+    record, in deterministic order. An update completes when none is
+    left."""
+    return [member for member in sorted(desired) if member not in applied]
+
+
 class PendingUpdate:
     """One incomplete journaled update, as :meth:`UpdateJournal.pending`
     reports it: what was intended, which members already took it."""
@@ -203,7 +213,7 @@ class PendingUpdate:
     @property
     def remaining(self):
         """Members whose apply is still owed, in deterministic order."""
-        return [m for m in sorted(self.desired) if m not in self.applied]
+        return _owed(self.desired, self.applied)
 
     @property
     def complete(self):
@@ -430,9 +440,13 @@ class UpdateJournal:
     def last_committed_seq(self):
         return self._last_committed_seq
 
-    def applied_members(self, update_id):
-        state = self._states.get(update_id)
-        return dict(state.applied) if state is not None else {}
+    def owed(self, update_id):
+        """The desired members of pending update ``update_id`` that no
+        ``applied`` record covers yet; it may commit once this is
+        empty."""
+        with self._lock:
+            state = self._require_pending(update_id)
+            return _owed(state.desired, state.applied)
 
     def is_committed(self, update_id):
         state = self._states.get(update_id)
@@ -452,7 +466,7 @@ class UpdateJournal:
                 if member not in state.applied:
                     self.record_member(update_id, member, "applied", via=via)
                     touched.append(update_id)
-                if not [m for m in state.desired if m not in state.applied]:
+                if not self.owed(update_id):
                     self.commit(update_id)
         return touched
 
@@ -631,6 +645,9 @@ class NullJournal(UpdateJournal):
         pass
 
     def resolve_member(self, member, via="resync"):
+        return []
+
+    def owed(self, update_id):
         return []
 
     def pending(self):

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import MemberUnavailableError, StaleMemberError
 from repro.multidb import (
     CrashInjector,
     CrashPoint,
@@ -31,6 +32,7 @@ from repro.multidb import (
     FederationConfig,
     InMemoryConnector,
     InMemoryJournal,
+    MemberConnector,
     ResiliencePolicy,
 )
 from repro.multidb.resilience import FakeClock
@@ -445,6 +447,92 @@ class TestRecoveryWithUnreachableMembers:
         assert restarted.journal.pending() == []
         # The whole federation answers with the update everywhere.
         assert ("9/9/99", "nova", 7.0) in set(restarted.unified_quotes())
+
+    def restart_flaky(self, connectors, buffer):
+        """Restart over the surviving members and journal, with the
+        class's single-attempt policy on a fake clock."""
+        policy = ResiliencePolicy(max_attempts=1, failure_threshold=100,
+                                  jitter=0.0)
+        return build(connectors, InMemoryJournal(buffer=buffer),
+                     policy=policy, clock=FakeClock())
+
+    def post_states(self):
+        """Every member's state after a crash-free run of the update."""
+        shadow = fresh_connectors(self.workload)
+        build(shadow, InMemoryJournal()).insert_quote("nova", "9/9/99", 7.0)
+        return member_states(shadow)
+
+    def test_failed_apply_during_recover_keeps_the_member_owed(self):
+        """A member whose replay apply fails during recover() is stale
+        and still owed; the probe that repairs it delivers the journaled
+        state, not the pre-update scan install pulled."""
+        buffer = []
+        connectors, flaky = self.crash_mid_flush(buffer, crash_after=1)
+        restarted = self.restart_flaky(connectors, buffer)
+        flaky.fail_next(1)
+        restarted.recover()
+        assert restarted.availability().status_of("chwab") == "stale"
+        (update,) = restarted.journal.pending()
+        assert update.remaining == ["chwab"]
+        assert restarted.probe("chwab") is True
+        assert restarted.journal.pending() == []
+        assert member_states(connectors) == self.post_states()
+
+    def test_failed_replay_on_reattach_leaves_the_member_stale(self):
+        """A quarantined member whose roll-forward fails when it
+        re-attaches is stale — strict queries refuse its pre-update
+        rows — and the next probe delivers the journaled state."""
+        buffer = []
+        connectors, flaky = self.crash_mid_flush(buffer, crash_after=1)
+        chwab = _ApplyFailsOnce(flaky.inner)
+        connectors["chwab"] = chwab
+        restarted = self.restart_flaky(connectors, buffer)
+        assert "chwab" in restarted.quarantined
+        restarted.recover()
+        chwab.bring_back()
+        assert restarted.probe("chwab") is False
+        assert restarted.availability().status_of("chwab") == "stale"
+        with pytest.raises(StaleMemberError):
+            restarted.unified_quotes()
+        (update,) = restarted.journal.pending()
+        assert update.remaining == ["chwab"]
+        assert restarted.probe("chwab") is True
+        assert restarted.journal.pending() == []
+        assert restarted.availability().status_of("chwab") == "ok"
+        assert member_states(connectors) == self.post_states()
+
+
+class _ApplyFailsOnce(MemberConnector):
+    """A member that is down until :meth:`bring_back`; after that, ping
+    and scan succeed and the first apply fails."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.down = True
+        self.apply_failures = 0
+
+    def bring_back(self):
+        self.down = False
+        self.apply_failures = 1
+
+    def _reach(self, op):
+        if self.down:
+            raise MemberUnavailableError(f"member is down during {op}")
+
+    def ping(self):
+        self._reach("ping")
+        return True
+
+    def scan(self):
+        self._reach("scan")
+        return self.inner.scan()
+
+    def apply(self, desired):
+        self._reach("apply")
+        if self.apply_failures:
+            self.apply_failures -= 1
+            raise MemberUnavailableError("apply refused")
+        self.inner.apply(desired)
 
 
 @given(
