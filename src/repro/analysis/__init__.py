@@ -4,9 +4,8 @@ Ahead-of-time, whole-program analysis of IDL multidatabase programs:
 schema-aware name resolution against member catalogs, safety and
 stratification, update-program coverage, dead-code detection, and a
 type-and-effect system (:mod:`repro.analysis.types` /
-:mod:`repro.analysis.effects`) whose inferred read/write sets also
-drive the engine's member pruning and the federation's narrowed
-journal intents. See ``docs/static_analysis.md`` for the diagnostic
+:mod:`repro.analysis.effects`) whose inferred read sets also drive
+the engine's member pruning. See ``docs/static_analysis.md`` for the diagnostic
 code reference and the inference rules.
 """
 

@@ -32,10 +32,12 @@ Consumers:
 * :class:`~repro.analysis.checker.ProgramChecker` — IDL060, an update
   program writing outside its declared footprint;
 * :meth:`repro.core.engine.IdlEngine.query` — **member pruning**: only
-  the rules a query's read set needs are materialized;
-* :meth:`repro.multidb.federation.Federation._flush_if_changed` —
-  **narrowed journal intents**: only members in the update's write set
-  are staged and journaled.
+  the rules a query's read set needs are materialized.
+
+Write sets are also shown by
+:meth:`repro.multidb.federation.Federation.write_footprint` (REPL
+``:footprint``). A flush does not read them: it stages the members the
+update's change log names.
 
 See ``docs/static_analysis.md`` for the formal rules.
 """

@@ -206,29 +206,26 @@ class IdlEngine:
         self._overlay = TupleObject()  # union of the live SCC overlays
         self._stats = None
 
-    def _selective_invalidate(self, touched, delta=None):
+    def _selective_invalidate(self, delta):
         """Repair — or drop — the live SCCs an update affected.
 
-        ``touched`` is the set of ``(db, rel)`` prefixes reported by the
-        update evaluator; ``delta`` (optional) its concrete
-        :class:`~repro.core.updates.UpdateDelta`. A rule is dirty when
-        it reads (or defines) a target overlapping a touched path or a
-        dirty rule's target, transitively. Clean SCCs stay live as they
-        are. With ``maintain`` on and a concrete delta, dirty SCCs are
-        repaired in place (:meth:`_repair_strata`); otherwise they are
-        dropped, and the next query that needs them re-materializes
-        only those.
+        ``delta`` is the update's
+        :class:`~repro.core.updates.UpdateDelta`; its ``(db, rel)``
+        prefixes are the touched paths. A rule is dirty when it reads
+        (or defines) a target overlapping a touched path or a dirty
+        rule's target, transitively. Clean SCCs stay live as they are.
+        With ``maintain`` on, dirty SCCs are repaired in place
+        (:meth:`_repair_strata`); otherwise they are dropped, and the
+        next query that needs them re-materializes only those.
         """
         from repro.core.terms import Const
 
-        if any(len(prefix) == 0 for prefix in touched):
-            self.invalidate()
-            return
         if not self._sccs:
             return
 
         touched_patterns = [
-            tuple(Const(name) for name in prefix) for prefix in touched
+            tuple(Const(name) for name in prefix)
+            for prefix in delta.prefixes()
         ]
         dirty_ids = {id(rule) for rule in self._dirty_rules(touched_patterns)}
         dirty = [key for key in self._sccs if not dirty_ids.isdisjoint(key)]
@@ -236,7 +233,7 @@ class IdlEngine:
             # The update touched nothing a live view reads: the cache
             # stays valid (queries merge the live base underneath).
             return
-        if self.maintain and delta is not None:
+        if self.maintain:
             self._repair_strata(dirty_ids, touched_patterns, delta)
             return
         self._drop(dirty, {}, {})
@@ -632,7 +629,7 @@ class IdlEngine:
                 if atomic:
                     uctx.delta.undo()
                 else:
-                    reindex_touched(self.universe, uctx.touched)
+                    reindex_touched(self.universe, uctx.delta.prefixes())
                     self.invalidate()
                 span.set("rolled_back", atomic)
                 raise
@@ -641,7 +638,7 @@ class IdlEngine:
             span.set("modified", result.modified)
             span.set("touched", sorted(".".join(p) for p in result.touched))
         if result.changed:
-            self._selective_invalidate(result.touched, result.delta)
+            self._selective_invalidate(result.delta)
         return result
 
     def declare_key(self, db, rel, columns):

@@ -74,7 +74,7 @@ class UpdateExecutor:
             ast.conjuncts_of(expr), substitutions, uctx, depth=0
         )
         return UpdateResult(substitutions, uctx.inserted, uctx.deleted,
-                            uctx.modified, uctx.touched, delta=uctx.delta)
+                            uctx.modified, delta=uctx.delta)
 
     def _run_conjuncts(self, conjuncts, substitutions, uctx, depth):
         if depth > _MAX_CALL_DEPTH:

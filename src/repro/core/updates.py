@@ -191,6 +191,12 @@ class UpdateDelta:
     def changed(self):
         return bool(self._log)
 
+    def prefixes(self):
+        """The ``(db, rel)`` prefixes of every logged path: what the
+        request changed, at relation granularity. Every mutation lands
+        at least one step below the universe, so no prefix is empty."""
+        return frozenset(path[:2] for _, path, _, _ in self._log)
+
     def fold(self):
         """Net changes: ``(inserts, deletes, symbolic)``.
 
@@ -224,24 +230,27 @@ class UpdateDelta:
 class UpdateResult:
     """Outcome of an update request.
 
-    ``touched`` is the set of ``(db, rel)`` path prefixes whose contents
-    were mutated — the engine's selective re-materialization uses it to
-    rebuild only the affected view strata. ``delta`` is the request's
-    :class:`UpdateDelta`: it drives incremental view maintenance, and
-    its :meth:`~UpdateDelta.undo` takes the request back.
+    ``delta`` is the request's :class:`UpdateDelta`, the one record of
+    what it changed: it drives incremental view maintenance, its
+    :meth:`~UpdateDelta.undo` takes the request back, and
+    :attr:`touched` reads its paths.
     """
 
-    __slots__ = ("substitutions", "inserted", "deleted", "modified", "touched",
-                 "delta")
+    __slots__ = ("substitutions", "inserted", "deleted", "modified", "delta")
 
     def __init__(self, substitutions, inserted, deleted, modified,
-                 touched=frozenset(), delta=None):
+                 delta=None):
         self.substitutions = substitutions
         self.inserted = inserted
         self.deleted = deleted
         self.modified = modified
-        self.touched = frozenset(touched)
         self.delta = delta
+
+    @property
+    def touched(self):
+        """The ``(db, rel)`` prefixes of the paths the request changed
+        (empty without a delta)."""
+        return frozenset() if self.delta is None else self.delta.prefixes()
 
     @property
     def succeeded(self):
@@ -264,23 +273,19 @@ class _UpdateContext:
     """Mutable evaluation state shared across one update request,
     including its change log ``delta`` (an :class:`UpdateDelta`)."""
 
-    __slots__ = ("eval_ctx", "inserted", "deleted", "modified", "touched",
-                 "delta", "_preimages")
+    __slots__ = ("eval_ctx", "inserted", "deleted", "modified", "delta",
+                 "_preimages")
 
     def __init__(self, eval_ctx=None):
         self.eval_ctx = eval_ctx or EvalContext()
         self.inserted = 0
         self.deleted = 0
         self.modified = 0
-        self.touched = set()  # (db, rel) prefixes of mutated paths
         self.delta = UpdateDelta()
         # Stack of [element, copy-or-None] cells for set elements being
         # mutated in place; ``fire_preimages`` copies each element the
         # moment the first real mutation beneath it is about to happen.
         self._preimages = []
-
-    def touch(self, path):
-        self.touched.add(tuple(path[:2]))
 
     def push_preimage(self, element):
         """Register a set element about to be (possibly) mutated in
@@ -331,7 +336,7 @@ def apply_request(request, universe, bindings=None, eval_ctx=None):
         if not substitutions:
             break
     return UpdateResult(substitutions, uctx.inserted, uctx.deleted,
-                        uctx.modified, uctx.touched, delta=uctx.delta)
+                        uctx.modified, delta=uctx.delta)
 
 
 def reindex_touched(universe, touched):
@@ -388,8 +393,8 @@ def apply_conjunct(conjunct, universe, substitutions, uctx=None):
 def _update_satisfy(expr, obj, subst, uctx, excluded=frozenset(), path=()):
     """Like ``evaluator._satisfy`` but applies signed subexpressions.
 
-    ``path`` tracks the attribute names navigated from the universe root
-    so mutations can report which ``(db, rel)`` prefix they touched.
+    ``path`` tracks the attribute names navigated from the universe root;
+    every mutation is logged at its path in the request's change log.
     """
     if not expr.has_update():
         for extended in _satisfy(expr, obj, subst, uctx.eval_ctx):
@@ -470,7 +475,6 @@ def _update_attr_step(expr, obj, subst, uctx, excluded, path=()):
         uctx.delta.record_slot(path + (name,), obj, name)
         obj.set(name, _empty_for(expr.expr))
         uctx.modified += 1
-        uctx.touch(path + (name,))
         for extended in _apply_plus(expr.expr, obj, name, subst, uctx,
                                     path + (name,)):
             yield extended
@@ -535,7 +539,6 @@ def _tuple_minus(expr, obj, subst, uctx, excluded, path=()):
             obj.remove(attr_name)
             removed.add(attr_name)
             uctx.deleted += 1
-            uctx.touch(path + (attr_name,))
 
     if ground:
         yield subst
@@ -560,7 +563,6 @@ def _update_set_expr(expr, obj, subst, uctx, path=()):
             uctx.fire_preimages()
             if obj.add(element):
                 uctx.inserted += 1
-                uctx.touch(path)
                 uctx.delta.record_insert(path, element, obj)
         yield subst
         return
@@ -580,7 +582,6 @@ def _update_set_expr(expr, obj, subst, uctx, path=()):
                 uctx.delta.record_delete(path, element, obj)
                 obj.discard_value(element)
                 uctx.deleted += 1
-                uctx.touch(path)
         if ground:
             yield subst
         else:
@@ -598,21 +599,19 @@ def _update_set_expr(expr, obj, subst, uctx, path=()):
     results = []
     delta = uctx.delta
     for element in obj.elements():
-        before = (uctx.inserted, uctx.deleted, uctx.modified)
         mark = delta.mark()
         token = uctx.push_preimage(element)
         for extended in _update_satisfy(expr.inner, element, subst, uctx,
                                         frozenset(), path):
             results.append(extended)
         preimage = uctx.pop_preimage(token)
-        if (uctx.inserted, uctx.deleted, uctx.modified) != before:
-            # Every counted mutation fired the pre-image first, so
+        if delta.mark() != mark:
+            # Every logged mutation fired the pre-image first, so
             # ``preimage`` is set. The records made while mutating the
             # element describe positions inside it; rewrite them as one
             # whole-element change at the owning set's path. Until this
             # point an error leaves them in place, and undo replays
             # them inside the element.
-            uctx.touch(path)
             delta.rollback(mark)
             delta.record_refresh(path, obj, element, preimage)
     for extended in results:
@@ -633,7 +632,6 @@ def _apply_atomic_update(expr, obj, subst, uctx, path=()):
         uctx.delta.record_atom(path, obj)
         obj.value = value_obj.value
         uctx.modified += 1
-        uctx.touch(path)
         yield subst
         return
 
@@ -647,7 +645,6 @@ def _apply_atomic_update(expr, obj, subst, uctx, path=()):
         uctx.delta.record_atom(path, obj)
         obj.value = None
         uctx.modified += 1
-        uctx.touch(path)
         yield bound
         return
     value_obj = evaluate_term(term, subst)
@@ -657,7 +654,6 @@ def _apply_atomic_update(expr, obj, subst, uctx, path=()):
             uctx.delta.record_atom(path, obj)
             obj.value = None
             uctx.modified += 1
-            uctx.touch(path)
     yield subst
 
 

@@ -10,8 +10,9 @@ honour them when it exposes a unified surface. This module provides:
 * :class:`AuthorizedSession` — a per-principal facade over an
   :class:`~repro.core.engine.IdlEngine`: queries evaluate against a
   *filtered* view containing only readable relations, and updates are
-  verified against the write grants using the engine's touched-path
-  report — an unauthorized write is rolled back atomically;
+  verified against the write grants using the ``(db, rel)`` paths of
+  the request's change log (``result.touched``) — an unauthorized write
+  is rolled back atomically by undoing that log;
 * policy reflection: grants render as relations, queryable like any
   other metadata.
 """

@@ -52,7 +52,8 @@ class FederationConfig:
     Policy:
 
     * ``prune`` — ``"on"``/``"off"``: static effect analysis drives
-      member pruning and narrowed journal intents;
+      query-side member pruning (flushes stage the members an update's
+      change log names either way);
     * ``validate`` — the default ``install()`` validation mode
       (``"off"``/``"warn"``/``"strict"``);
     * ``policy`` — the default

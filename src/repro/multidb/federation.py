@@ -205,12 +205,11 @@ class Federation:
         self.engine = engine if engine is not None else IdlEngine(obs=obs)
         if self.engine.obs is not obs:
             self.engine.use_observability(obs)
-        # Static effect analysis drives two optimizations (see
-        # repro.analysis.effects): member pruning — queries materialize
-        # only the view rules their read set reaches — and narrowed
-        # journal intents — flushes stage only members in the update's
-        # write set. prune="off" restores the scan-everything /
-        # stage-everything behavior.
+        # Static effect analysis drives member pruning (see
+        # repro.analysis.effects): queries materialize only the view
+        # rules their read set reaches; prune="off" restores the
+        # scan-everything behavior. Flushes stage only the members an
+        # update's change log names, whatever ``prune`` says.
         self.prune = config.prune
         self.engine.prune = config.prune == "on"
         self.unified_db = config.unified_db
@@ -539,11 +538,6 @@ class Federation:
             style = self.members[name]
             relations = None
             if name not in self._attached:
-                if name not in self._prefetched:
-                    try:
-                        self._prefetched[name] = self.connectors[name].scan()
-                    except MemberUnavailableError:
-                        self._prefetched[name] = None
                 relations = self._prefetched[name]
                 if relations is None:
                     catalog.mark_opaque(name)
@@ -1088,11 +1082,9 @@ class Federation:
         with self.obs.metrics.request() as request_metrics, \
                 self.obs.span("federation.update") as root:
             self._check_available()
-            static_writes = self._static_writes(source=source)
             engine_result = self.engine.update(source, **params)
             outcomes, flushed, update_id = self._flush_if_changed(
-                engine_result, root, origin="update",
-                static_writes=static_writes,
+                engine_result, root, origin="update"
             )
         return self._update_result(engine_result, outcomes, flushed, root,
                                    update_id, request_metrics)
@@ -1103,35 +1095,12 @@ class Federation:
         with self.obs.metrics.request() as request_metrics, \
                 self.obs.span("federation.call", program=program) as root:
             self._check_available()
-            static_writes = self._static_writes(program=program)
             engine_result = self.engine.call(self.control_db, program, **args)
             outcomes, flushed, update_id = self._flush_if_changed(
-                engine_result, root, origin=f"call:{program}",
-                static_writes=static_writes,
+                engine_result, root, origin=f"call:{program}"
             )
         return self._update_result(engine_result, outcomes, flushed, root,
                                    update_id, request_metrics)
-
-    def _static_writes(self, *, source=None, program=None):
-        """The statically inferred write databases of an update request
-        (``source``) or a control-program call (``program``), or None
-        when the write set is unbounded (symbolic database) or the
-        analysis cannot run — callers then stage every member.
-        """
-        try:
-            analysis = self.engine.effect_analysis()
-            if program is not None:
-                effects = analysis.program_footprint(
-                    (self.control_db, program, None)
-                )
-            else:
-                statement = self.engine._one_query(source, allow_update=True)
-                effects = analysis.request_footprint(statement)
-        except Exception:
-            return None
-        if not effects.writes.bounded:
-            return None
-        return effects.writes.dbs
 
     def write_footprint(self, source):
         """The :class:`~repro.analysis.effects.Effects` of an update
@@ -1140,41 +1109,21 @@ class Federation:
         statement = self.engine._one_query(source, allow_update=True)
         return self.engine.effect_analysis().request_footprint(statement)
 
-    def _narrow_targets(self, targets, static_writes, touched):
-        """The flush targets an update's write set actually reaches.
-
-        With pruning on, a backed member is staged only when the static
-        write set *or* the runtime touched set names it — the runtime
-        union backstops any static under-approximation, while static
-        conservatism merely re-stages an unchanged member (idempotent).
-        With pruning off, unbounded static writes, or a universe-level
-        mutation, every target is staged (the pre-narrowing behavior).
-        """
-        if self.prune != "on" or static_writes is None:
-            return set(targets)
-        if any(len(prefix) == 0 for prefix in touched):
-            return set(targets)
-        runtime = {prefix[0] for prefix in touched if prefix}
-        return {name for name in targets
-                if name in static_writes or name in runtime}
-
-    def _flush_if_changed(self, engine_result, root, origin="update",
-                          static_writes=None):
+    def _flush_if_changed(self, engine_result, root, origin="update"):
         """Two-phase flush when the engine mutated anything; returns
         ``(member_outcomes, flushed, update_id)``.
 
         Phase one *stages*: the desired post-state of every backed
-        member in the update's write set (statically inferred, unioned
-        with the runtime touched set — see :meth:`_narrow_targets`) is
-        computed from the universe and journaled as one intent record
-        (the write-ahead step — nothing has touched a member yet).
-        Members outside the write set are not journaled and report
-        ``UNCHANGED``. Phase two *applies*: each staged member's
-        connector takes its staged state under the usual retry/circuit
-        machinery, and its outcome is journaled as it lands; a
-        fully-applied update is closed with a commit record. A crash
-        anywhere in between leaves a pending intent that
-        :meth:`recover` replays idempotently.
+        member the update changed — the databases its change log
+        (``engine_result.delta``) names — is computed from the universe
+        and journaled as one intent record (the write-ahead step —
+        nothing has touched a member yet). Members the update left
+        alone are not journaled and report ``UNCHANGED``. Phase two
+        *applies*: each staged member's connector takes its staged
+        state under the usual retry/circuit machinery, and its outcome
+        is journaled as it lands; a fully-applied update is closed with
+        a commit record. A crash anywhere in between leaves a pending
+        intent that :meth:`recover` replays idempotently.
         """
         if not engine_result.changed:
             root.set("flushed", False)
@@ -1182,9 +1131,8 @@ class Federation:
             return outcomes, False, None
         with self.obs.span("federation.flush") as span:
             targets = self._flushed & self._attached
-            narrowed = self._narrow_targets(
-                targets, static_writes, engine_result.touched
-            )
+            narrowed = targets & {prefix[0]
+                                  for prefix in engine_result.touched}
             staged = {
                 name: universe_rows(self.engine.universe, name)
                 for name in sorted(narrowed)

@@ -15,13 +15,13 @@ checksummed JSON-lines log of *update-commit protocol* records:
     written before any member is touched; carries a monotonic
     ``update`` id and the full desired post-state of every member the
     flush will reach (full states, not deltas, so replay is idempotent).
-    With member pruning on (the default), the federation *narrows* the
-    intent to the update's write set — the statically inferred write
-    effects (see :mod:`repro.analysis.effects`) unioned with the
-    members the executor actually touched — so a single-member update
-    journals one member's post-state, not the whole federation's.
-    Members outside the write set appear in neither the intent nor the
-    ``member`` records; recovery replays exactly the narrowed set;
+    The federation *narrows* the intent to the members the update
+    changed — the databases its change log
+    (:class:`~repro.core.updates.UpdateDelta`) names — so a
+    single-member update journals one member's post-state, not the
+    whole federation's. Members it left alone appear in neither the
+    intent nor the ``member`` records; recovery replays exactly the
+    narrowed set;
 ``member``
     one per member outcome (``applied``/``failed``), written right
     after the member's connector ``apply`` returns or raises, with the

@@ -101,7 +101,6 @@ class UpdateResult(EngineUpdateResult):
             engine_result.inserted,
             engine_result.deleted,
             engine_result.modified,
-            engine_result.touched,
             delta=engine_result.delta,
         )
         self.member_outcomes = dict(member_outcomes or {})

@@ -17,9 +17,11 @@ This package makes that pipeline inspectable end to end:
   ``SPAN_METRICS`` derives the engine's and fixpoint's from spans.
   The static effect analysis adds ``analysis.prune.skipped`` /
   ``analysis.prune.scanned`` — per-query counts of members whose scans
-  the inferred read set avoided vs. required — and query/update spans
-  carry ``member-pruning`` and ``intent-narrowed`` events describing
-  each decision (see ``docs/static_analysis.md``);
+  the inferred read set avoided vs. required — and query spans carry
+  ``member-pruning`` events describing each decision (see
+  ``docs/static_analysis.md``); update flush spans carry an
+  ``intent-narrowed`` event naming the members the change log staged
+  and those it left alone;
 * :mod:`repro.obs.slo` — per-operation and per-member objectives with
   multi-window burn rates;
 * :mod:`repro.obs.server` — live ``/metrics`` (Prometheus text),

@@ -56,7 +56,9 @@ IDL console commands:
                        federation consoles validate the full install
                        program, including update footprints (IDL060)
   :footprint ?<expr>   show the statically inferred read/write effect
-                       sets of a request without executing it
+                       sets of a request without executing it; the
+                       reads drive member pruning (a flush stages the
+                       members an update actually changed)
   :load <path>         load a program file (rules + clauses)
   :save <path>         persist the engine (data + program) to JSON
   :open <path>         replace the engine from a persisted JSON file
@@ -316,9 +318,9 @@ class IdlRepl:
         """Render the static read/write effect sets of one request.
 
         Nothing is evaluated: the effect analysis closes the request
-        over the loaded views and update programs, so the output is
-        exactly what drives member pruning and narrowed journal
-        intents (see docs/static_analysis.md)."""
+        over the loaded views and update programs, so the read set is
+        exactly what drives member pruning, and the write set bounds
+        what the request may change (see docs/static_analysis.md)."""
         if self.federation is not None:
             effects = self.federation.write_footprint(argument)
         else:

@@ -95,9 +95,10 @@ INSERT_QUOTE = "?.dbU.insStk(.stk=nova, .date=x, .price=1)"
 def declared_write_set(federation, source=INSERT_QUOTE):
     """The members the update's statically inferred write set reaches.
 
-    With narrowed intents (the default), this — not "all members" — is
-    what a flush stages and what the journal intent must cover; the
-    assertions below validate against it so they stay honest if a
+    A flush stages the members the update's change log names, and the
+    probe update changes every member its static write set names, so
+    this — not "all members" — is what the journal intent must cover;
+    the assertions below validate against it so they stay honest if a
     member style ever drops out of a control program's footprint.
     """
     return sorted(federation.write_footprint(source).writes.dbs)

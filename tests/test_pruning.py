@@ -255,16 +255,36 @@ class TestNarrowedIntents:
         assert self.intent_members(federation, result.update_id) == \
             sorted(STYLES)
 
-    def test_prune_off_stages_every_member(self):
-        workload, federation = self.fed("off")
-        symbol = workload.symbols[0]
+    def test_program_call_journals_only_the_members_it_changed(self):
+        # delStk runs a clause per member, but for a stock only euter
+        # holds, chwab has no such column and ource no such relation:
+        # those clauses fail and write nothing, so neither is staged.
+        workload, federation = self.fed()
         day = workload.days[0]
-        result = federation.update(
-            f"?.euter.r-(.stkCode={symbol}, .date={day})"
+        federation.update(
+            f"?.euter.r+(.stkCode=nova, .date={day}, .clsPrice=7)"
         )
-        assert result.member_outcomes["chwab"] == "applied"
-        assert self.intent_members(federation, result.update_id) == \
-            sorted(STYLES)
+        result = federation.call("delStk", stk="nova", date=day)
+        assert result.member_outcomes["euter"] == "applied"
+        assert result.member_outcomes["chwab"] == "unchanged"
+        assert result.member_outcomes["ource"] == "unchanged"
+        assert self.intent_members(federation, result.update_id) == ["euter"]
+
+    def test_prune_off_journals_the_same_intent(self):
+        # ``prune`` governs query-side pruning only: a flush stages the
+        # members the update changed either way.
+        intents = {}
+        for prune in ("on", "off"):
+            workload, federation = self.fed(prune)
+            symbol = workload.symbols[0]
+            day = workload.days[0]
+            result = federation.update(
+                f"?.euter.r-(.stkCode={symbol}, .date={day})"
+            )
+            assert result.member_outcomes["chwab"] == "unchanged"
+            intents[prune] = self.intent_members(federation,
+                                                 result.update_id)
+        assert intents["off"] == intents["on"] == ["euter"]
 
     def test_narrowed_flush_emits_the_span_event(self):
         workload, federation = self.fed()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import IdlEngine
+from repro.core.updates import UpdateDelta
 from repro.obs import Observability
 from tests.conftest import answers_set
 
@@ -128,27 +129,15 @@ class TestSelectiveRebuild:
 
 
 class TestInvalidateEdgeCases:
-    def test_empty_touched_prefix_forces_full_invalidate(self):
-        engine = build_engine(prune=True)
-        engine.query("?.va.p(.x=X)")
-        engine.materialized_view()
-        first = engine.overlay
-        # An empty prefix means "somewhere unknown": everything goes,
-        # including what the pruned query materialized.
-        engine._selective_invalidate({()})
-        runs = count(engine, "fixpoint.runs")
-        engine.query("?.va.p(.x=X)")
-        assert count(engine, "fixpoint.runs") == runs + 1
-        assert engine.last_fixpoint_stats.reused_strata == 0
-        assert engine.overlay is not first
-
     def test_derived_target_only_touch_dirties_view(self):
         # A touch landing on a path that is only a view's *target* (not
         # read by any rule body) still dirties that view — and
         # transitively its readers — while unrelated strata survive.
         engine = build_engine(maintain=False)
         engine.materialized_view()
-        engine._selective_invalidate({("va", "p")})
+        delta = UpdateDelta()
+        delta.mark_symbolic(("va", "p"))
+        engine._selective_invalidate(delta)
         # va is dirty (target touched), vc is dirty (reads va.p); only
         # vb's stratum is reused by the next materialization.
         runs = count(engine, "fixpoint.runs")

@@ -214,8 +214,14 @@ def test_failing_request_restores_the_universe(schedule):
         assert unified(engine) == view_before
         assert fixpoint_runs(engine) == runs
 
-        engine.update(f"?{request}")
+        result = engine.update(f"?{request}")
         assert_keys_match_values(engine.universe)
+        # Every database whose contents changed is named by the change
+        # log: a flush stages exactly these members.
+        after = to_python(engine.universe)
+        changed = {name for name in set(before) | set(after)
+                   if before.get(name) != after.get(name)}
+        assert changed <= {prefix[0] for prefix in result.touched}
         rebuilt = IdlEngine(engine.universe.snapshot())
         for rule in UNIFIED:
             rebuilt.define(rule)
