@@ -1,8 +1,10 @@
 """B17 — incremental view maintenance vs full re-materialization.
 
 Question: after a point update, the engine repairs the dirty view
-strata in place — insertions seed one semi-naive delta round, deletions
-run DRed (over-delete, then re-derive) — instead of rebuilding them.
+strata in place — a non-recursive stratum (the join) by counting
+derivations, a recursive one (the closure) by seeding one semi-naive
+delta round for insertions and running DRed (over-delete, then
+re-derive) for deletions — instead of rebuilding them.
 What does that save across update shapes (point insert, point delete,
 a 16-update batch), view shapes (a non-recursive join, a recursive
 closure) and base sizes — and what does the capture/planning machinery
@@ -13,8 +15,8 @@ Guard tests (run by the CI bench-smoke job):
 * a point insert into the non-recursive join view is >= 5x faster with
   in-place repair than with a forced full rebuild at the largest size;
 * point updates on every other (view, op) pair still beat the rebuild
-  (>= 1.5x — deletes pay DRed's re-derivation scans, the recursive
-  closure pays them against a larger view);
+  (>= 1.5x — closure deletes pay DRed's re-derivation scans against
+  the whole closure; join deletes are counted, with no re-derivation);
 * an always-fallback workload (negation over the changed relation)
   pays < 5% for delta capture and repair planning (plus a small
   absolute epsilon for timer jitter);

@@ -127,8 +127,10 @@ class IdlEngine:
 
     With ``maintain`` True (the default), an update repairs the live
     SCCs it dirtied in place from its concrete insert/delete deltas
-    (incremental view maintenance: DRed for deletions, delta-seeded
-    semi-naive for insertions) — see
+    (incremental view maintenance): a non-recursive SCC by counting
+    derivations — its counts, recorded when it is materialized, are
+    kept beside its overlay — and a recursive one by DRed for
+    deletions and delta-seeded semi-naive for insertions; see
     :func:`repro.core.fixpoint.maintain_stratum`. An SCC whose repair
     could be unsound is dropped instead, together with its dependents,
     and the next query that needs it re-materializes only those; set
@@ -203,6 +205,8 @@ class IdlEngine:
     def invalidate(self):
         """Drop every materialized overlay (after out-of-band changes)."""
         self._sccs = {}  # SCC key -> overlay, live SCCs in evaluation order
+        # SCC key -> derivation counts, for the live non-recursive SCCs
+        self._counts = {}
         self._overlay = TupleObject()  # union of the live SCC overlays
         self._stats = None
 
@@ -273,12 +277,24 @@ class IdlEngine:
         Walks the live SCCs in evaluation order, repairing each dirty
         overlay in place from the accumulated concrete deltas (the
         update's own changes plus the derived changes of already
-        repaired SCCs). An SCC that must fall back (see
+        repaired SCCs): by counting when the SCC is non-recursive, by
+        DRed when it is recursive. An SCC that must fall back (see
         :func:`repro.core.fixpoint.maintenance_plan`) is dropped; its
         targets join the unknown deltas, so every dirty SCC reading
         them is dropped too. :meth:`_drop` then patches the combined
         overlay with the net derived changes and rebuilds the paths the
         dropped SCCs fed.
+
+        Several SCCs can derive into one path (each member's rule of
+        the unified view is its own SCC), and a downstream SCC reads
+        their union, so the derived deltas are changes of that union: a
+        fact an SCC adds is inserted only if no live SCC held it before
+        the pass (the combined overlay, patched only at the end, still
+        shows that state), and a fact an SCC removes is deleted only if
+        no live SCC holds it once every SCC deriving into its path has
+        been repaired — which the evaluation order guarantees by the
+        time an SCC reading the path is reached. Counting needs these
+        exact deletions; DRed is given every removed fact instead.
         """
         from repro.core import fixpoint
         from repro.core.rules import patterns_overlap
@@ -288,9 +304,14 @@ class IdlEngine:
         inserts, deletes, symbolic = delta.fold()
         # The accumulated deltas (the update's own changes plus the
         # derived changes of SCCs repaired so far) as overlays, built
-        # once per pass and grown as each SCC is repaired.
+        # once per pass and grown as each SCC is repaired. Counting
+        # needs the exact deletions; DRed takes every fact an SCC lost
+        # (a superset: it re-derives what survives), since a recursive
+        # SCC's own copy of a fact another SCC lost can be supported
+        # only by itself.
         insert_delta = fixpoint.paths_overlay(inserts)
         delete_delta = fixpoint.paths_overlay(deletes)
+        lost_delta = fixpoint.paths_overlay(deletes)
         # Paths whose delta is unknown: symbolic records, plus the
         # targets of any SCC that fell back — SCCs reading them cannot
         # be repaired.
@@ -302,7 +323,10 @@ class IdlEngine:
         rules = {id(rule): rule for rule in self.program.rules}
         derived_added = {}
         derived_removed = {}
-        repaired = 0
+        # Facts repaired SCCs removed at paths no counting SCC has read
+        # yet: whether the union lost them is settled when one does.
+        unsettled = {}
+        methods = {"counting": 0, "dred": 0}
         dropped = []
         with self._tracer.span("fixpoint.maintain") as span:
             view_base = self.universe
@@ -328,26 +352,45 @@ class IdlEngine:
                         stratum, changed_patterns
                     )
                 if reason is None:
+                    counts = self._counts.get(key)
+                    if counts is not None:
+                        self._settle_removals(stratum, unsettled,
+                                              delete_delta)
                     try:
                         added, removed = fixpoint.maintain_stratum(
                             stratum, variants, view_base, overlay,
-                            insert_delta, delete_delta, stats, self.eval_ctx,
+                            insert_delta,
+                            lost_delta if counts is None else delete_delta,
+                            counts, stats, self.eval_ctx,
                         )
                     except fixpoint.MaintenanceAborted as aborted:
                         # The overlay is partially mutated: unusable.
                         reason = aborted.reason
                 if reason is None:
                     for names, elements in added.items():
-                        derived_added.setdefault(names, {}).update(elements)
-                        for element in elements.values():
-                            fixpoint.set_path_fact(insert_delta, names, element)
+                        combined = fixpoint.overlay_relation(self._overlay,
+                                                             names)
+                        net = derived_added.setdefault(names, {})
+                        for value_key, element in elements.items():
+                            if value_key in net or (
+                                combined is not None
+                                and combined.lookup(value_key) is not None
+                            ):
+                                continue
+                            net[value_key] = element
+                            fixpoint.set_path_fact(insert_delta, names,
+                                                   element)
                     for names, elements in removed.items():
                         derived_removed.setdefault(names, {}).update(elements)
+                        unsettled.setdefault(names, {}).update(elements)
                         for element in elements.values():
-                            fixpoint.set_path_fact(delete_delta, names, element)
-                    repaired += 1
+                            fixpoint.set_path_fact(lost_delta, names,
+                                                   element)
+                    method = "dred" if counts is None else "counting"
+                    methods[method] += 1
                     span.event(
                         "stratum-repaired",
+                        method=method,
                         added=sum(len(v) for v in added.values()),
                         removed=sum(len(v) for v in removed.values()),
                     )
@@ -358,7 +401,9 @@ class IdlEngine:
                     span.event("stratum-fallback", reason=reason)
                 changed_patterns.extend(rule.target for rule in stratum)
             span.set("strata", len(self._sccs))
-            span.set("repaired", repaired)
+            span.set("repaired", methods["counting"] + methods["dred"])
+            span.set("counting", methods["counting"])
+            span.set("dred", methods["dred"])
             span.set("fallbacks", len(dropped))
             span.set("seeded", seeded)
             span.set("overdeleted", stats.maintain_overdeleted)
@@ -366,18 +411,38 @@ class IdlEngine:
         self._stats.add(stats)
         self._drop(dropped, derived_added, derived_removed)
 
+    def _settle_removals(self, stratum, unsettled, delete_delta):
+        """Move the removed facts at paths ``stratum`` reads from
+        ``unsettled`` into ``delete_delta`` when no live SCC holds them
+        any more. Every SCC deriving into such a path precedes
+        ``stratum`` in evaluation order, so it has been repaired."""
+        from repro.core import fixpoint
+        from repro.core.rules import patterns_overlap
+        from repro.core.terms import Const
+
+        for names in list(unsettled):
+            path = tuple(Const(name) for name in names)
+            if not any(patterns_overlap(pattern, path)
+                       for rule in stratum for pattern, _ in rule.references):
+                continue
+            live = self._live_relations(names)
+            for element in unsettled.pop(names).values():
+                if not any(relation.contains_value(element)
+                           for relation in live):
+                    fixpoint.set_path_fact(delete_delta, names, element)
+
     def _drop(self, keys, added, removed):
         """Forget the live SCCs ``keys`` and patch the combined overlay.
 
         ``added``/``removed`` (``{path: {value_key: element}}``) are the
-        net derived changes of SCCs repaired in the same pass. Several
-        SCCs can derive into one path (each member's rule of the unified
-        view is its own SCC), so a removed fact leaves the combined
-        overlay only when no live SCC still holds it. Every combined
-        path a dropped SCC's rules could derive into is then rebuilt
-        from the live SCCs: a repair that aborted has already discarded
-        part of its overlay, so what is left of it does not tell which
-        facts it contributed.
+        derived changes of SCCs repaired in the same pass: ``added``
+        holds only facts no live SCC held before the pass, ``removed``
+        every fact a repaired SCC lost. Several SCCs can derive into one
+        path, so a removed fact leaves the combined overlay only when
+        no live SCC still holds it. Every combined path a dropped SCC's
+        rules could derive into is then rebuilt from the live SCCs: a
+        repair that aborted has already discarded part of its overlay,
+        so what is left of it does not tell which facts it contributed.
         """
         from repro.core.fixpoint import (
             apply_path_deltas, ensure_relation, overlay_relation,
@@ -390,6 +455,7 @@ class IdlEngine:
         targets = [rules[rule_id].target for key in keys for rule_id in key]
         for key in keys:
             del self._sccs[key]
+            self._counts.pop(key, None)
         stale = [
             names for names, _ in overlay_relations(self._overlay)
             if any(patterns_overlap(target, tuple(Const(n) for n in names))
@@ -440,7 +506,10 @@ class IdlEngine:
         for key, _, overlay in strata:
             if key not in self._sccs:
                 self._sccs[key] = overlay
+                if key in stats.derivation_counts:
+                    self._counts[key] = stats.derivation_counts[key]
                 fixpoint.merge_into(self._overlay, overlay)
+        stats.derivation_counts.clear()
         self._stats = stats if self._stats is None else self._stats.add(stats)
 
     def materialized_view(self):
@@ -597,7 +666,7 @@ class IdlEngine:
 
     # -- updates ------------------------------------------------------------
 
-    def update(self, source, atomic=True, **params):
+    def update(self, source, atomic=True, check=None, **params):
         """Execute an update request (program calls and view updates
         included); the request still *succeeds-or-not* per the paper's
         success/failure semantics — inspect the returned UpdateResult.
@@ -605,14 +674,21 @@ class IdlEngine:
         Every change lands in the request's change log,
         ``result.delta`` (:class:`~repro.core.updates.UpdateDelta`),
         which is also its undo log. With ``atomic=True`` an error — in
-        evaluation or from a declared constraint — replays the log in
-        reverse: the base ends equal to its pre-state, in iteration
-        order too, and the live view cache stays as it was, since views
-        are maintained only after success. With ``atomic=False`` an
-        error keeps the partial work, re-keys the sets under the
-        touched paths and drops the view cache. A successful request
-        re-keys each set element it mutates as it goes, so it needs no
-        reindex pass; it then repairs or drops the views it dirtied.
+        evaluation, from a declared constraint, or from ``check`` —
+        replays the log in reverse: the base ends equal to its
+        pre-state, in iteration order too, and the live view cache
+        stays as it was, since views are maintained only after success.
+        With ``atomic=False`` an error keeps the partial work, re-keys
+        the sets under the touched paths and drops the view cache. A
+        successful request re-keys each set element it mutates as it
+        goes, so it needs no reindex pass; it then repairs or drops the
+        views it dirtied.
+
+        ``check``, when given, is called with the change log once the
+        request and the constraints have run, before any view is
+        maintained; it rejects the request by raising an
+        :class:`~repro.errors.IdlError` (an authorized session checks
+        its write grants this way).
         """
         from repro.core.updates import UpdateContext, reindex_touched
 
@@ -625,6 +701,8 @@ class IdlEngine:
                                                   uctx=uctx)
                 if len(self.constraints):
                     self.constraints.enforce(self.universe)
+                if check is not None:
+                    check(uctx.delta)
             except IdlError:
                 if atomic:
                     uctx.delta.undo()

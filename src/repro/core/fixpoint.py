@@ -15,7 +15,10 @@ Two strategies:
   correctness.
 
 Both strategies produce identical overlays (property-tested); benchmark
-B3 measures the difference on recursive workloads.
+B3 measures the difference on recursive workloads. A non-recursive
+stratum takes one round under either, and counts the derivations of
+each fact as it goes — the input of its incremental maintenance (see
+the maintenance section below).
 """
 
 from __future__ import annotations
@@ -47,17 +50,24 @@ class FixpointStats:
     """Instrumentation for one materialization run.
 
     ``maintain_overdeleted``/``maintain_rederived`` count the facts the
-    DRed passes of :func:`maintain_stratum` removed and restored. The
-    other repair counts of each maintenance pass live on its
-    ``fixpoint.maintain`` span.
+    DRed passes of :func:`maintain_stratum` removed and restored; only
+    recursive strata run DRed, so both stay 0 while every repaired
+    stratum is non-recursive. The other repair counts of each
+    maintenance pass live on its ``fixpoint.maintain`` span.
+
+    ``derivation_counts`` maps the key of every non-recursive stratum a
+    :func:`materialize_strata` run evaluated to that stratum's
+    derivation counts (see :func:`maintain_stratum`); :meth:`add` does
+    not carry it over, since the counts belong beside their overlay.
     """
 
     COUNTS = ("rounds", "rule_firings", "derivations", "reused_strata",
               "maintain_overdeleted", "maintain_rederived")
-    __slots__ = ("strategy",) + COUNTS
+    __slots__ = ("strategy", "derivation_counts") + COUNTS
 
     def __init__(self, strategy):
         self.strategy = strategy
+        self.derivation_counts = {}
         for name in self.COUNTS:
             setattr(self, name, 0)
 
@@ -97,7 +107,10 @@ def materialize_strata(analyzed_rules, universe, method="seminaive",
     order. ``reuse`` maps a stratum key (tuple of rule identities) to a
     previously-computed overlay known to still be valid — the engine's
     selective re-materialization passes the overlays of strata whose
-    inputs were not touched by the last update.
+    inputs were not touched by the last update. A non-recursive stratum
+    counts its derivations as it evaluates (under either ``method``:
+    it takes one round both ways); the counts of each such stratum
+    evaluated here land in ``stats.derivation_counts`` under its key.
     """
     if method not in ("naive", "seminaive"):
         raise ValueError(f"unknown fixpoint method {method!r}")
@@ -120,7 +133,11 @@ def materialize_strata(analyzed_rules, universe, method="seminaive",
                 else:
                     overlay = TupleObject()
                     run = FixpointStats(method)
-                    evaluate(stratum, view_base, overlay, run, context)
+                    if _countable(stratum):
+                        stats.derivation_counts[key] = _count_stratum(
+                            stratum, view_base, overlay, run, context)
+                    else:
+                        evaluate(stratum, view_base, overlay, run, context)
                     stats.add(run)
                     span.set("reused", False)
                     span.set("rounds", run.rounds)
@@ -232,6 +249,46 @@ def _seminaive_stratum(stratum, universe, overlay, stats, context):
         delta = next_delta
 
 
+def _countable(stratum):
+    """Can the stratum keep derivation counts? It must be non-recursive
+    (a single rule) and build whole elements: a merge rule extends
+    elements in place and a relation-only rule builds none."""
+    return not is_recursive_stratum(stratum) and all(
+        analyzed.constructor is not None and not analyzed.merge_on
+        for analyzed in stratum
+    )
+
+
+def _count_stratum(stratum, universe, overlay, stats, context):
+    """The one round of a non-recursive stratum, counting derivations.
+
+    A derivation is one substitution the body's evaluation yields, not
+    one set insertion: a fact two substitutions build — say, through
+    different values of a variable the head does not use — has 2,
+    although the value-based set holds it once. The delta-redirected
+    bodies of :func:`maintain_stratum` enumerate derivations the same
+    way, so adding and subtracting their counts stays exact. Returns
+    ``{(path, value_key): derivations}`` for the facts with more than
+    one; a fact of the overlay missing from it has exactly one, which
+    is the common case (one member's rule derives each of its quotes
+    once) and costs no memory. The rule never reads its own targets,
+    so the body runs against ``universe`` alone.
+    """
+    counts = {}
+    stats.rounds += 1
+    for analyzed in stratum:
+        stats.rule_firings += 1
+        for subst in satisfy(analyzed.body, universe, None, context):
+            names = tuple(resolve_target(analyzed.target, subst))
+            element = build_object(analyzed.constructor, subst)
+            if ensure_relation(overlay, names).add(element):
+                stats.derivations += 1
+            else:
+                fact = (names, element.value_key())
+                counts[fact] = counts.get(fact, 1) + 1
+    return counts
+
+
 def _derive_tracking_delta(analyzed, view, overlay, delta, context):
     changes = 0
     for subst in satisfy(analyzed.body, view, None, context):
@@ -282,14 +339,22 @@ def _delta_variants(analyzed, stratum_targets):
                     return None
         return []  # rule is non-recursive: nothing to do after round 0
 
-    variants = []
-    for position in recursive_positions:
+    return [_redirected_body(analyzed, conjuncts, position)
+            for position in recursive_positions]
+
+
+def _redirected_body(analyzed, conjuncts, position):
+    """The rule body with conjunct ``position`` read from the delta.
+    Built once per rule and position: every maintenance pass plans
+    afresh, and one body object per variant keeps the evaluator's
+    identity-keyed caches (conjunct orderings, probe plans) warm."""
+    body = analyzed.delta_bodies.get(position)
+    if body is None:
         redirected = list(conjuncts)
-        redirected[position] = ast.AttrStep(
-            Const(DELTA_ROOT), redirected[position]
-        )
-        variants.append(ast.TupleExpr(redirected))
-    return variants
+        redirected[position] = ast.AttrStep(Const(DELTA_ROOT),
+                                            redirected[position])
+        body = analyzed.delta_bodies[position] = ast.TupleExpr(redirected)
+    return body
 
 
 def _references_targets(conjunct, targets):
@@ -334,23 +399,37 @@ def count_overlay_facts(overlay):
 # After an update, the engine knows the concrete per-path insert/delete
 # deltas (see repro.core.updates.UpdateDelta). Instead of discarding a
 # dirty stratum's overlay, maintenance_plan() decides whether the
-# stratum can be repaired in place, and maintain_stratum() repairs it:
+# stratum can be repaired in place, and maintain_stratum() repairs it.
+# Both repairs evaluate the same delta-redirected rule bodies: a body
+# conjunct reading a changed path is redirected at the delta, so rules
+# fire only on substitutions that touch changed facts.
 #
-# * deletions run delete-and-rederive (DRed): over-delete every overlay
-#   fact with a derivation through a deleted input (evaluating against
-#   the *old* view, reconstructed by merging the deleted facts back in),
-#   then re-derive the over-deleted facts that still have a derivation
-#   from the surviving view;
-# * insertions seed the semi-naive delta loop: the update delta is the
-#   round-0 delta, so rules only fire on substitutions that touch new
-#   facts — the full round-0 evaluation of _seminaive_stratum never
-#   happens, which is where the speedup comes from.
+# * A non-recursive stratum (one rule not reading its own targets)
+#   repairs by counting (Gupta, Mumick, Subrahmanian, "Maintaining
+#   Views Incrementally", SIGMOD 1993). Materialization recorded how
+#   many body substitutions derive each fact; an insert delta adds the
+#   derivations through the inserted facts, a delete delta subtracts
+#   those through the deleted ones, and a fact leaves the overlay when
+#   its count reaches 0. Nothing is over-deleted and nothing is
+#   re-derived, so an in-place edit of a base row (logged as delete
+#   pre-image + insert post-image) changes only the facts whose value
+#   changed. The arithmetic is exact while a rule reads changed facts
+#   through one conjunct; a rule joining two changed paths falls back.
+# * A recursive stratum runs delete-and-rederive (DRed) for deletions:
+#   over-delete every overlay fact with a derivation through a deleted
+#   input (evaluating against the *old* view, reconstructed by merging
+#   the deleted facts back in), then re-derive the over-deleted facts
+#   that still have a derivation from the surviving view. Insertions
+#   seed the semi-naive delta loop: the update delta is the round-0
+#   delta, so the full round-0 evaluation of _seminaive_stratum never
+#   happens.
 #
 # The plan is conservative: any shape whose repair could diverge from a
 # from-scratch rebuild (merge semantics, relation-only heads, negation
 # over a changed relation, a conjunct spanning several relations, a
-# same-stratum reference that cannot be redirected at the delta) forces
-# the caller back to a full stratum rebuild.
+# same-stratum reference that cannot be redirected at the delta, a
+# non-recursive rule joining two changed paths) forces the caller back
+# to a full stratum rebuild.
 
 
 def maintenance_plan(stratum, changed_patterns):
@@ -366,6 +445,7 @@ def maintenance_plan(stratum, changed_patterns):
     """
     targets = [analyzed.target for analyzed in stratum]
     patterns = list(changed_patterns) + targets
+    recursive = is_recursive_stratum(stratum)
     variants = []
     for analyzed in stratum:
         if analyzed.merge_on:
@@ -383,6 +463,11 @@ def maintenance_plan(stratum, changed_patterns):
         rule_variants = _delta_variants(analyzed, patterns)
         if rule_variants is None:
             return None, "unrewritable"
+        if len(rule_variants) > 1 and not recursive:
+            # Counting one delta per conjunct would count a derivation
+            # through two changed facts twice and one through an
+            # inserted and a deleted fact not at all.
+            return None, "multi-delta-join"
         variants.append(rule_variants)
     return variants, None
 
@@ -426,19 +511,28 @@ _OVERDELETE_SHARE = 8
 
 
 def maintain_stratum(stratum, variants, view_base, overlay, insert_delta,
-                     delete_delta, stats, context):
+                     delete_delta, counts, stats, context):
     """Repair one stratum's overlay in place after an update.
 
     ``insert_delta``/``delete_delta`` are overlay-shaped universes of
     the concrete facts inserted into / deleted from the stratum's
     inputs (base relations and already repaired upstream strata);
-    ``variants`` comes from :func:`maintenance_plan`. Returns
-    ``(added, removed)`` — the net changes to this stratum's own
-    overlay as ``{path: {value_key: element}}`` dicts, for seeding
-    downstream strata and patching the combined overlay. Raises
-    :class:`MaintenanceAborted` when the delete cascade exceeds the
+    ``variants`` comes from :func:`maintenance_plan`. ``counts`` is a
+    non-recursive stratum's derivation counts, as
+    :func:`materialize_strata` recorded them (only facts with more than
+    one derivation are listed): the stratum is then repaired by
+    counting, and ``counts`` is kept in step. It is None for a
+    recursive stratum, which runs DRed. Returns ``(added,
+    removed)`` — the net changes to this stratum's own overlay as
+    ``{path: {value_key: element}}`` dicts, for seeding downstream
+    strata and patching the combined overlay. Raises
+    :class:`MaintenanceAborted` when a DRed delete cascade exceeds the
     cost budget (the overlay is then partially mutated and unusable).
     """
+    if counts is not None:
+        return _maintain_counting(stratum, variants, view_base, overlay,
+                                  insert_delta, delete_delta, counts, stats,
+                                  context)
     budget = max(_OVERDELETE_MIN,
                  count_overlay_facts(overlay) // _OVERDELETE_SHARE)
     removed = _maintain_overdelete(stratum, variants, view_base, overlay,
@@ -460,6 +554,54 @@ def maintain_stratum(stratum, variants, view_base, overlay, insert_delta,
         prune_empty_path(overlay, names)
     added = {names: elements for names, elements in added.items() if elements}
     removed = {names: elements for names, elements in removed.items() if elements}
+    return added, removed
+
+
+def _maintain_counting(stratum, variants, view_base, overlay, insert_delta,
+                       delete_delta, counts, stats, context):
+    """Counting repair of a non-recursive stratum: net each touched
+    fact's derivation count change over both deltas, then add the facts
+    whose count rose from 0 and remove those whose count fell to 0."""
+    net = {}  # (path, value_key) -> [path, element, count change]
+    for delta, sign in ((delete_delta, -1), (insert_delta, 1)):
+        if not _has_facts(delta):
+            continue
+        delta_view = MergedTuple(view_base, TupleObject({DELTA_ROOT: delta}))
+        for analyzed, rule_variants in zip(stratum, variants):
+            for variant_body in rule_variants:
+                stats.rule_firings += 1
+                for subst in satisfy(variant_body, delta_view, None, context):
+                    names = tuple(resolve_target(analyzed.target, subst))
+                    element = build_object(analyzed.constructor, subst)
+                    fact = (names, element.value_key())
+                    entry = net.get(fact)
+                    if entry is None:
+                        net[fact] = [names, element, sign]
+                    else:
+                        entry[2] += sign
+    added, removed = {}, {}
+    for fact, (names, element, change) in net.items():
+        if not change:
+            continue
+        relation = overlay_relation(overlay, names)
+        held = counts.get(fact)
+        if held is None:
+            held = int(relation is not None
+                       and relation.lookup(fact[1]) is not None)
+        count = held + change
+        if count > 1:
+            counts[fact] = count
+        else:
+            counts.pop(fact, None)
+        if not held:
+            ensure_relation(overlay, names).add(element)
+            stats.derivations += 1
+            added.setdefault(names, {})[fact[1]] = element
+        elif not count:
+            relation.discard_value(element)
+            removed.setdefault(names, {})[fact[1]] = element
+    for names in removed:
+        prune_empty_path(overlay, names)
     return added, removed
 
 

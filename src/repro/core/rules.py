@@ -45,7 +45,8 @@ from repro.objects.tuple import TupleObject
 class AnalyzedRule:
     """A validated rule with its extracted head structure."""
 
-    __slots__ = ("rule", "target", "constructor", "merge_on", "references")
+    __slots__ = ("rule", "target", "constructor", "merge_on", "references",
+                 "delta_bodies")
 
     def __init__(self, rule, target, constructor, merge_on, references):
         self.rule = rule
@@ -53,6 +54,10 @@ class AnalyzedRule:
         self.constructor = constructor  # element constructor expr (or None)
         self.merge_on = merge_on  # tuple of attribute names, possibly empty
         self.references = references  # list of (pattern, positive: bool)
+        # conjunct position -> body reading that conjunct from the delta,
+        # built once by repro.core.fixpoint so every later evaluation of
+        # the same body hits the evaluator's identity-keyed caches
+        self.delta_bodies = {}
 
     @property
     def head(self):

@@ -11,8 +11,9 @@ honour them when it exposes a unified surface. This module provides:
   :class:`~repro.core.engine.IdlEngine`: queries evaluate against a
   *filtered* view containing only readable relations, and updates are
   verified against the write grants using the ``(db, rel)`` paths of
-  the request's change log (``result.touched``) — an unauthorized write
-  is rolled back atomically by undoing that log;
+  the request's change log before any view is maintained — an
+  unauthorized write is rolled back atomically by undoing that log,
+  and the view cache stays live;
 * policy reflection: grants render as relations, queryable like any
   other metadata.
 """
@@ -165,29 +166,31 @@ class AuthorizedSession:
     # -- writes ------------------------------------------------------------
 
     def update(self, source, **params):
-        """Run an update request; roll back unless every touched
+        """Run an update request; roll it back unless every touched
         ``(db, rel)`` is covered by a write grant.
 
-        The rollback undoes the request's change log (``result.delta``)
-        and then drops the view cache, which the engine already
-        maintained for the committed request."""
-        result = self.engine.update(source, atomic=True, **params)
-        unauthorized = [
-            prefix
-            for prefix in result.touched
-            if not self.policy.can(
-                self.principal, WRITE, prefix[0],
-                prefix[1] if len(prefix) > 1 else "*",
-            )
-        ]
-        if unauthorized:
-            result.delta.undo()
-            self.engine.invalidate()
-            rendered = ", ".join(".".join(prefix) for prefix in sorted(unauthorized))
-            raise AuthorizationError(
-                f"principal {self.principal!r} may not write {rendered}"
-            )
-        return result
+        The engine runs the grant check on the request's change log
+        before it maintains any view, so a rejected write is undone
+        like any failed atomic request and the view cache stays live."""
+
+        def authorize(delta):
+            unauthorized = [
+                prefix
+                for prefix in delta.prefixes()
+                if not self.policy.can(
+                    self.principal, WRITE, prefix[0],
+                    prefix[1] if len(prefix) > 1 else "*",
+                )
+            ]
+            if unauthorized:
+                rendered = ", ".join(".".join(prefix)
+                                     for prefix in sorted(unauthorized))
+                raise AuthorizationError(
+                    f"principal {self.principal!r} may not write {rendered}"
+                )
+
+        return self.engine.update(source, atomic=True, check=authorize,
+                                  **params)
 
     def call(self, db, program, **args):
         from repro.core.engine import _literal

@@ -68,8 +68,8 @@ class QueryProfile:
     def maintenance(self):
         """Attribute dicts of every ``fixpoint.maintain`` span — one per
         in-place view repair in this trace (empty when no update was
-        maintained). Each carries ``strata``/``repaired``/``fallbacks``
-        /``seeded``/``overdeleted``/``rederived``."""
+        maintained). Each carries ``strata``/``repaired``/``counting``
+        /``dred``/``fallbacks``/``seeded``/``overdeleted``/``rederived``."""
         if self.trace is None:
             return []
         return [

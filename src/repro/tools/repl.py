@@ -421,14 +421,16 @@ class IdlRepl:
     @staticmethod
     def _maintenance_summary(attributes):
         """One line summarizing an in-place view repair (see
-        docs/performance.md, "Incremental maintenance")."""
+        docs/performance.md, "Incremental maintenance"): how many SCCs
+        were repaired, by counting and by DRed, and how many fell back."""
         return (
             "maintenance: repaired={repaired}/{strata} "
             "fallbacks={fallbacks} seeded={seeded} "
-            "overdeleted={overdeleted} rederived={rederived}".format(
+            "overdeleted={overdeleted} rederived={rederived} "
+            "counting={counting} dred={dred}".format(
                 **{key: attributes.get(key, 0) for key in (
                     "repaired", "strata", "fallbacks", "seeded",
-                    "overdeleted", "rederived")}
+                    "overdeleted", "rederived", "counting", "dred")}
             )
         )
 

@@ -1,4 +1,5 @@
-"""Incremental view maintenance: delta capture, repair plans, DRed.
+"""Incremental view maintenance: delta capture, repair plans, counting
+and DRed.
 
 The tentpole guarantee is differential: after any schedule of updates,
 an engine that repairs its materialization in place answers exactly
@@ -319,3 +320,251 @@ def test_join_and_negation_maintenance_equals_rebuild(sequence):
         lhs = {tuple(sorted(a.items())) for a in incremental.query(source)}
         rhs = {tuple(sorted(a.items())) for a in reference.query(source)}
         assert lhs == rhs
+
+
+# -- property: counting repair == full rebuild ---------------------------------
+
+#: Non-recursive views repaired by counting: ``u.p`` has an existential
+#: body variable (a fact derives once per ``k`` of its ``x``), two SCCs
+#: derive into ``w.q``, which ``d.o`` reads, and ``v.j`` is a join. The
+#: closure's base rule is a counted SCC deriving into ``g.tc`` beside
+#: the recursive SCC (DRed), and ``g.loop`` counts over their union.
+COUNTING_VIEWS = (
+    ".u.p(.x=X) <- .a.r(.x=X, .k=K)",
+    ".w.q(.v=K) <- .a.r(.k=K)",
+    ".w.q(.v=Y) <- .b.s(.y=Y)",
+    ".d.o(.v=V) <- .w.q(.v=V), V != 0",
+    ".v.j(.x=X, .y=Y) <- .a.r(.x=X, .k=K), .b.s(.k=K, .y=Y)",
+    TC[0],
+    TC[1],
+    ".g.loop(.a=X) <- .g.tc(.a=X, .b=X)",
+)
+
+COUNTING_QUERIES = {
+    "?.u.p(.x=X)": ("X",),
+    "?.w.q(.v=V)": ("V",),
+    "?.d.o(.v=V)": ("V",),
+    "?.v.j(.x=X, .y=Y)": ("X", "Y"),
+    "?.g.tc(.a=X, .b=Y)": ("X", "Y"),
+    "?.g.loop(.a=X)": ("X",),
+}
+
+
+def build_counting_engine(method):
+    engine = IdlEngine(fixpoint_method=method)
+    engine.add_database("a", {"r": [{"x": 0, "k": 0}, {"x": 0, "k": 1},
+                                    {"x": 1, "k": 1}]})
+    engine.add_database("b", {"s": [{"k": 1, "y": 2}, {"k": 0, "y": 1}]})
+    engine.add_database("g", {"edge": [{"a": 0, "b": 1}, {"a": 1, "b": 2}]})
+    for source in COUNTING_VIEWS:
+        engine.define(source)
+    return engine
+
+
+small = st.integers(0, 2)
+
+counting_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("?.a.r+(.x={}, .k={})"), small, small),
+        st.tuples(st.just("?.a.r-(.x={}, .k={})"), small, small),
+        st.tuples(st.just("?.b.s+(.k={}, .y={})"), small, small),
+        st.tuples(st.just("?.b.s-(.k={}, .y={})"), small, small),
+        st.tuples(st.just("?.g.edge+(.a={}, .b={})"), small, small),
+        st.tuples(st.just("?.g.edge-(.a={}, .b={})"), small, small),
+        # Every row deriving one ``w.q`` value, from either source.
+        st.tuples(st.just("?.a.r-(.k={})"), small, small),
+        st.tuples(st.just("?.b.s-(.y={})"), small, small),
+        # In-place edits: replace or null one attribute of the rows that
+        # match (two rows can collapse into one). ``str.format`` ignores
+        # the unused second number of a one-placeholder template.
+        st.tuples(st.just("?.a.r(.x={}, .k+={})"), small, small),
+        st.tuples(st.just("?.b.s(.k={}, .y+={})"), small, small),
+        st.tuples(st.just("?.a.r(.x={}, .k-=K)"), small, small),
+        # One request changing both sides of the join.
+        st.tuples(st.just("?.a.r+(.x={0}, .k={1}), .b.s+(.k={1}, .y={0})"),
+                  small, small),
+        st.tuples(st.just("?.a.r-(.x={0}, .k={1}), .b.s-(.k={1})"),
+                  small, small),
+    ),
+    min_size=3,
+    max_size=16,
+)
+
+
+@pytest.mark.parametrize("method", ["naive", "seminaive"])
+@given(sequence=counting_ops)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_counting_maintenance_equals_rebuild(method, sequence):
+    incremental = build_counting_engine(method)
+    reference = build_counting_engine(method)
+    incremental.materialized_view()
+    for template, first, second in sequence:
+        request = template.format(first, second)
+        incremental.update(request)
+        reference.update(request)
+        reference.invalidate()
+        for query, names in COUNTING_QUERIES.items():
+            assert (answers_set(incremental.query(query), *names)
+                    == answers_set(reference.query(query), *names)), request
+
+
+class TestCountingMaintenance:
+    """Non-recursive SCCs repair by counting derivations."""
+
+    def build(self, obs=None):
+        engine = IdlEngine(obs=obs)
+        engine.add_database("a", {"r": [{"x": 1, "k": 1}, {"x": 1, "k": 2}]})
+        engine.add_database("b", {"s": [{"k": 1, "y": 10}]})
+        engine.define(".u.p(.x=X) <- .a.r(.x=X, .k=K)")
+        engine.define(".v.j(.x=X, .y=Y) <- .a.r(.x=X, .k=K), "
+                      ".b.s(.k=K, .y=Y)")
+        engine.materialized_view()
+        return engine
+
+    def test_fact_with_two_derivations_survives_one_delete(self):
+        engine = self.build()
+        engine.update("?.a.r-(.x=1, .k=1)")
+        assert answers_set(engine.query("?.u.p(.x=X)"), "X") == {1}
+        engine.update("?.a.r-(.x=1, .k=2)")
+        assert answers_set(engine.query("?.u.p(.x=X)"), "X") == set()
+
+    def test_repairs_are_counting_events_with_no_dred(self):
+        obs = Observability(enabled=True)
+        collector = obs.add_exporter(InMemoryCollector())
+        engine = self.build(obs)
+        engine.update("?.a.r(.x=1, .k+=3)")  # an in-place edit
+        span = collector.find("fixpoint.maintain")
+        methods = [attributes["method"] for name, attributes in span.events
+                   if name == "stratum-repaired"]
+        assert methods == ["counting", "counting"]
+        assert span.attributes["counting"] == 2
+        assert span.attributes["dred"] == 0
+        assert span.attributes["overdeleted"] == 0
+        assert span.attributes["rederived"] == 0
+
+    def test_recursive_scc_repairs_by_dred(self):
+        obs = Observability(enabled=True)
+        collector = obs.add_exporter(InMemoryCollector())
+        engine = IdlEngine(obs=obs)
+        engine.add_database("g", {"edge": [{"a": 1, "b": 2}]})
+        engine.define(TC[0])
+        engine.define(TC[1])
+        engine.materialized_view()
+        engine.update("?.g.edge+(.a=2, .b=3)")
+        span = collector.find("fixpoint.maintain")
+        methods = sorted(attributes["method"] for name, attributes
+                         in span.events if name == "stratum-repaired")
+        # The base rule is its own non-recursive SCC; the recursive
+        # rule keeps DRed.
+        assert methods == ["counting", "dred"]
+
+    def test_repl_profile_counts_each_method(self):
+        import io
+
+        from repro.tools.repl import IdlRepl
+
+        engine = IdlEngine(obs=Observability())
+        engine.add_database("g", {"edge": [{"a": 1, "b": 2}]})
+        engine.define(TC[0])
+        engine.define(TC[1])
+        engine.materialized_view()
+        console = IdlRepl(engine=engine, out=io.StringIO())
+        console.run([":profile ?.g.edge+(.a=2, .b=3)"])
+        assert "repaired=2/2" in console.out.getvalue()
+        assert "counting=1 dred=1" in console.out.getvalue()
+
+    def test_join_with_both_sides_changed_falls_back(self):
+        stratum = rules(".v.j(.x=X, .y=Y) <- .a.r(.x=X, .k=K), "
+                        ".b.s(.k=K, .y=Y)")
+        variants, reason = maintenance_plan(
+            stratum, [pattern("a", "r"), pattern("b", "s")])
+        assert variants is None and reason == "multi-delta-join"
+        obs = Observability(enabled=True)
+        collector = obs.add_exporter(InMemoryCollector())
+        engine = self.build(obs)
+        engine.update("?.a.r+(.x=2, .k=5), .b.s+(.k=5, .y=50)")
+        span = collector.find("fixpoint.maintain")
+        reasons = [attributes["reason"] for name, attributes in span.events
+                   if name == "stratum-fallback"]
+        assert reasons == ["multi-delta-join"]
+        assert answers_set(engine.query("?.v.j(.x=X, .y=Y)"), "X", "Y") == {
+            (1, 10), (2, 50)}
+
+
+class TestFederationCounting:
+    """The paper's three-member federation: every SCC an update dirties
+    is non-recursive, so repairs never over-delete or re-derive."""
+
+    VIEWS = {
+        "?.dbI.p(.date=D, .stk=S, .price=P)": ("D", "S", "P"),
+        "?.dbE.r(.date=D, .stkCode=S, .clsPrice=P)": ("D", "S", "P"),
+        "?.dbO.S(.date=D, .clsPrice=P)": ("S", "D", "P"),
+        "?.dbC.r(.date=D, .S=P), S != date": ("D", "S", "P"),
+    }
+
+    def build(self):
+        from repro.multidb import Federation, FederationConfig
+        from repro.workloads.stocks import paper_universe
+
+        self.obs = Observability(enabled=False)
+        federation = Federation.from_config(FederationConfig(obs=self.obs))
+        for member in ("euter", "chwab", "ource"):
+            federation.add_member(
+                member, member,
+                paper_universe().get(member).to_python())
+        for user, style in (("dbE", "euter"), ("dbC", "chwab"),
+                            ("dbO", "ource")):
+            federation.add_user_view(user, style)
+        federation.install()
+        return federation
+
+    def answers(self, engine):
+        return {query: answers_set(engine.query(query), *names)
+                for query, names in self.VIEWS.items()}
+
+    def dred_work(self):
+        return (self.obs.metrics.counter_value("fixpoint.maintain.overdeleted"),
+                self.obs.metrics.counter_value("fixpoint.maintain.rederived"))
+
+    @pytest.mark.parametrize("step", [
+        lambda fed: fed.call("insStk", stk="hp", date="3/5/85", price=70),
+        lambda fed: fed.update("?.chwab.r(.date=3/3/85, .hp+=51)"),
+        lambda fed: fed.call("delStk", stk="ibm", date="3/4/85"),
+        lambda fed: fed.update("?.dbE.r-(.date=3/3/85, .stkCode=hp)"),
+    ], ids=["insStk", "chwab-edit", "delStk", "dbE.r-"])
+    def test_update_repairs_without_dred(self, step):
+        federation = self.build()
+        engine = federation.engine
+        engine.materialized_view()
+        counter = self.obs.metrics.counter_value
+        runs = counter("fixpoint.maintain.runs")
+        fallbacks = counter("fixpoint.maintain.fallbacks")
+        result = step(federation)
+        assert result.succeeded
+        assert counter("fixpoint.maintain.runs") == runs + 1
+        # Only dbC's merge rule is rebuilt; every other SCC is repaired.
+        assert counter("fixpoint.maintain.fallbacks") == fallbacks + 1
+        assert self.dred_work() == (0, 0)
+        repaired = self.answers(engine)
+        engine.invalidate()
+        assert repaired == self.answers(engine)
+
+    def test_quote_leaves_with_its_last_holder(self):
+        federation = self.build()
+        engine = federation.engine
+        engine.materialized_view()
+        unified = "?.dbI.p(.date=3/9/85, .stk=hp, .price=70)"
+        per_stock = "?.dbO.hp(.date=3/9/85, .clsPrice=70)"
+        federation.update("?.euter.r+(.date=3/9/85, .stkCode=hp, "
+                          ".clsPrice=70)")
+        # The second holder adds nothing to the union the views read.
+        federation.update("?.ource.hp+(.date=3/9/85, .clsPrice=70)")
+        assert engine.ask(unified) and engine.ask(per_stock)
+        federation.update("?.euter.r-(.date=3/9/85, .stkCode=hp)")
+        assert engine.ask(unified) and engine.ask(per_stock)
+        federation.update("?.ource.hp-(.date=3/9/85)")
+        assert not engine.ask(unified) and not engine.ask(per_stock)
+        assert self.dred_work() == (0, 0)
+        repaired = self.answers(engine)
+        engine.invalidate()
+        assert repaired == self.answers(engine)
