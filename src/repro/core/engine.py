@@ -12,12 +12,12 @@ materialization cache, and an update executor. Typical use::
     engine.query("?.dbI.p(.stk=S, .price>200)")
     engine.update("?.euter.r+(.date=3/5/85,.stkCode=hp,.clsPrice=70)")
 
-Queries run against the *merged* view (base universe plus materialized
-derived overlay); updates run against the base universe only. An update
-is a transaction (atomic by default) whose change log is its undo log: a
-failure replays the log in reverse, so its cost follows the rows the
-request changed, not the size of the universe. A successful update then
-repairs or drops the cached views it affected.
+Queries run against the *merged* view (base universe plus one derived
+overlay per materialized stratum); updates run against the base universe
+only. An update is a transaction (atomic by default) whose change log is
+its undo log: a failure replays the log in reverse, so its cost follows
+the rows the request changed, not the size of the universe. A successful
+update then repairs or drops the cached views it affected.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.core.program import IdlProgram
 from repro.core.update_programs import UpdateExecutor
 from repro.errors import IdlError, SemanticError
 from repro.objects.merged import MergedTuple
-from repro.objects.tuple import TupleObject
 from repro.objects.universe import Universe
 from repro.obs.trace import NOOP_TRACER
 
@@ -119,11 +118,13 @@ class IdlEngine:
 
     Materialized views live in one cache keyed by strongly-connected
     component (SCC) of the rule graph — the tuple of rule identities
-    that is one stratum — and shared by pruned and full queries. An SCC
+    that is one stratum — and shared by pruned and full queries. Rules
+    with equal heads share an SCC, so each derived path has one live
+    owner (the 16 member rules of the unified view are one SCC). An SCC
     is live while it is in the cache, the live set stays closed under
     dependencies, and every query reads the base universe merged with
-    the combined overlay of the live SCCs: pruning only decides which
-    missing SCCs to materialize first.
+    the live SCC overlays themselves — there is no combined copy:
+    pruning only decides which missing SCCs to materialize first.
 
     With ``maintain`` True (the default), an update repairs the live
     SCCs it dirtied in place from its concrete insert/delete deltas
@@ -132,9 +133,11 @@ class IdlEngine:
     kept beside its overlay — and a recursive one by DRed for
     deletions and delta-seeded semi-naive for insertions; see
     :func:`repro.core.fixpoint.maintain_stratum`. An SCC whose repair
-    could be unsound is dropped instead, together with its dependents,
-    and the next query that needs it re-materializes only those; set
-    ``maintain=False`` to drop every dirty SCC.
+    could be unsound — including one whose head overlaps another SCC's
+    without being equal (``shared-head``) — is dropped instead,
+    together with its dependents, and the next query that needs it
+    re-materializes only those; set ``maintain=False`` to drop every
+    dirty SCC.
     """
 
     def __init__(self, universe=None, program=None, fixpoint_method="seminaive",
@@ -207,7 +210,11 @@ class IdlEngine:
         self._sccs = {}  # SCC key -> overlay, live SCCs in evaluation order
         # SCC key -> derivation counts, for the live non-recursive SCCs
         self._counts = {}
-        self._overlay = TupleObject()  # union of the live SCC overlays
+        # Live SCCs whose head overlaps another SCC's without being
+        # equal: a reader of the shared path sees the union, not their
+        # own change, so they fall back instead of repairing.
+        self._shared = set()
+        self._overlay = MergedTuple.over(self._sccs.values())
         self._stats = None
 
     def _selective_invalidate(self, delta):
@@ -240,7 +247,7 @@ class IdlEngine:
         if self.maintain:
             self._repair_strata(dirty_ids, touched_patterns, delta)
             return
-        self._drop(dirty, {}, {})
+        self._drop(dirty)
 
     def _dirty_rules(self, touched_patterns):
         """Rules whose output the update may have changed: those reading
@@ -276,25 +283,15 @@ class IdlEngine:
 
         Walks the live SCCs in evaluation order, repairing each dirty
         overlay in place from the accumulated concrete deltas (the
-        update's own changes plus the derived changes of already
-        repaired SCCs): by counting when the SCC is non-recursive, by
-        DRed when it is recursive. An SCC that must fall back (see
-        :func:`repro.core.fixpoint.maintenance_plan`) is dropped; its
-        targets join the unknown deltas, so every dirty SCC reading
-        them is dropped too. :meth:`_drop` then patches the combined
-        overlay with the net derived changes and rebuilds the paths the
-        dropped SCCs fed.
-
-        Several SCCs can derive into one path (each member's rule of
-        the unified view is its own SCC), and a downstream SCC reads
-        their union, so the derived deltas are changes of that union: a
-        fact an SCC adds is inserted only if no live SCC held it before
-        the pass (the combined overlay, patched only at the end, still
-        shows that state), and a fact an SCC removes is deleted only if
-        no live SCC holds it once every SCC deriving into its path has
-        been repaired — which the evaluation order guarantees by the
-        time an SCC reading the path is reached. Counting needs these
-        exact deletions; DRed is given every removed fact instead.
+        update's own changes plus the changes of already repaired SCCs):
+        by counting when the SCC is non-recursive, by DRed when it is
+        recursive. Each derived path has one live owner, so the facts a
+        repair adds and removes are exactly the changes a downstream SCC
+        reads. An SCC that must fall back — see
+        :func:`repro.core.fixpoint.maintenance_plan`, plus
+        ``shared-head`` for an SCC whose head overlaps another's — is
+        dropped; its targets join the unknown deltas, so every dirty SCC
+        reading them is dropped too.
         """
         from repro.core import fixpoint
         from repro.core.rules import patterns_overlap
@@ -302,16 +299,10 @@ class IdlEngine:
 
         stats = fixpoint.FixpointStats(self.fixpoint_method)
         inserts, deletes, symbolic = delta.fold()
-        # The accumulated deltas (the update's own changes plus the
-        # derived changes of SCCs repaired so far) as overlays, built
-        # once per pass and grown as each SCC is repaired. Counting
-        # needs the exact deletions; DRed takes every fact an SCC lost
-        # (a superset: it re-derives what survives), since a recursive
-        # SCC's own copy of a fact another SCC lost can be supported
-        # only by itself.
+        # The accumulated deltas, built once per pass and grown as each
+        # SCC is repaired.
         insert_delta = fixpoint.paths_overlay(inserts)
         delete_delta = fixpoint.paths_overlay(deletes)
-        lost_delta = fixpoint.paths_overlay(deletes)
         # Paths whose delta is unknown: symbolic records, plus the
         # targets of any SCC that fell back — SCCs reading them cannot
         # be repaired.
@@ -321,22 +312,18 @@ class IdlEngine:
         seeded = (sum(len(v) for v in inserts.values())
                   + sum(len(v) for v in deletes.values()))
         rules = {id(rule): rule for rule in self.program.rules}
-        derived_added = {}
-        derived_removed = {}
-        # Facts repaired SCCs removed at paths no counting SCC has read
-        # yet: whether the union lost them is settled when one does.
-        unsettled = {}
+        view = self._live_view()
         methods = {"counting": 0, "dred": 0}
         dropped = []
         with self._tracer.span("fixpoint.maintain") as span:
-            view_base = self.universe
             for key, overlay in self._sccs.items():
                 if dirty_ids.isdisjoint(key):
-                    view_base = MergedTuple(view_base, overlay)
                     continue
                 stratum = [rules[rule_id] for rule_id in key]
                 variants = None
-                if any(
+                if key in self._shared:
+                    reason = "shared-head"
+                elif any(
                     patterns_overlap(pattern, unk)
                     for rule in stratum
                     for pattern, _ in rule.references
@@ -353,39 +340,21 @@ class IdlEngine:
                     )
                 if reason is None:
                     counts = self._counts.get(key)
-                    if counts is not None:
-                        self._settle_removals(stratum, unsettled,
-                                              delete_delta)
                     try:
                         added, removed = fixpoint.maintain_stratum(
-                            stratum, variants, view_base, overlay,
-                            insert_delta,
-                            lost_delta if counts is None else delete_delta,
-                            counts, stats, self.eval_ctx,
+                            stratum, variants, view, overlay, insert_delta,
+                            delete_delta, counts, stats, self.eval_ctx,
                         )
                     except fixpoint.MaintenanceAborted as aborted:
                         # The overlay is partially mutated: unusable.
                         reason = aborted.reason
                 if reason is None:
-                    for names, elements in added.items():
-                        combined = fixpoint.overlay_relation(self._overlay,
-                                                             names)
-                        net = derived_added.setdefault(names, {})
-                        for value_key, element in elements.items():
-                            if value_key in net or (
-                                combined is not None
-                                and combined.lookup(value_key) is not None
-                            ):
-                                continue
-                            net[value_key] = element
-                            fixpoint.set_path_fact(insert_delta, names,
-                                                   element)
-                    for names, elements in removed.items():
-                        derived_removed.setdefault(names, {}).update(elements)
-                        unsettled.setdefault(names, {}).update(elements)
-                        for element in elements.values():
-                            fixpoint.set_path_fact(lost_delta, names,
-                                                   element)
+                    for changes, accumulated in ((added, insert_delta),
+                                                 (removed, delete_delta)):
+                        for names, elements in changes.items():
+                            for element in elements.values():
+                                fixpoint.set_path_fact(accumulated, names,
+                                                       element)
                     method = "dred" if counts is None else "counting"
                     methods[method] += 1
                     span.event(
@@ -394,7 +363,6 @@ class IdlEngine:
                         added=sum(len(v) for v in added.values()),
                         removed=sum(len(v) for v in removed.values()),
                     )
-                    view_base = MergedTuple(view_base, overlay)
                 else:
                     dropped.append(key)
                     unknown = unknown + [rule.target for rule in stratum]
@@ -409,89 +377,26 @@ class IdlEngine:
             span.set("overdeleted", stats.maintain_overdeleted)
             span.set("rederived", stats.maintain_rederived)
         self._stats.add(stats)
-        self._drop(dropped, derived_added, derived_removed)
+        self._drop(dropped)
 
-    def _settle_removals(self, stratum, unsettled, delete_delta):
-        """Move the removed facts at paths ``stratum`` reads from
-        ``unsettled`` into ``delete_delta`` when no live SCC holds them
-        any more. Every SCC deriving into such a path precedes
-        ``stratum`` in evaluation order, so it has been repaired."""
-        from repro.core import fixpoint
-        from repro.core.rules import patterns_overlap
-        from repro.core.terms import Const
-
-        for names in list(unsettled):
-            path = tuple(Const(name) for name in names)
-            if not any(patterns_overlap(pattern, path)
-                       for rule in stratum for pattern, _ in rule.references):
-                continue
-            live = self._live_relations(names)
-            for element in unsettled.pop(names).values():
-                if not any(relation.contains_value(element)
-                           for relation in live):
-                    fixpoint.set_path_fact(delete_delta, names, element)
-
-    def _drop(self, keys, added, removed):
-        """Forget the live SCCs ``keys`` and patch the combined overlay.
-
-        ``added``/``removed`` (``{path: {value_key: element}}``) are the
-        derived changes of SCCs repaired in the same pass: ``added``
-        holds only facts no live SCC held before the pass, ``removed``
-        every fact a repaired SCC lost. Several SCCs can derive into one
-        path, so a removed fact leaves the combined overlay only when
-        no live SCC still holds it. Every combined path a dropped SCC's
-        rules could derive into is then rebuilt from the live SCCs: a
-        repair that aborted has already discarded part of its overlay,
-        so what is left of it does not tell which facts it contributed.
-        """
-        from repro.core.fixpoint import (
-            apply_path_deltas, ensure_relation, overlay_relation,
-            overlay_relations, prune_empty_path,
-        )
-        from repro.core.rules import patterns_overlap
-        from repro.core.terms import Const
-
-        rules = {id(rule): rule for rule in self.program.rules}
-        targets = [rules[rule_id].target for key in keys for rule_id in key]
+    def _drop(self, keys):
+        """Forget the live SCCs ``keys``; the next query that needs them
+        re-materializes them."""
         for key in keys:
             del self._sccs[key]
             self._counts.pop(key, None)
-        stale = [
-            names for names, _ in overlay_relations(self._overlay)
-            if any(patterns_overlap(target, tuple(Const(n) for n in names))
-                   for target in targets)
-        ]
-        for names, elements in removed.items():
-            live = self._live_relations(names)
-            removed[names] = {
-                key: element for key, element in elements.items()
-                if not any(relation.contains_value(element)
-                           for relation in live)
-            }
-        apply_path_deltas(self._overlay, added, removed)
-        for names in stale:
-            combined = overlay_relation(self._overlay, names)
-            if combined is not None:
-                combined.clear()
-                prune_empty_path(self._overlay, names)
-            for relation in self._live_relations(names):
-                combined = ensure_relation(self._overlay, names)
-                for element in relation:
-                    combined.add(element)
+            self._shared.discard(key)
 
-    def _live_relations(self, names):
-        """The relations at path ``names`` of the live SCC overlays."""
-        from repro.core.fixpoint import overlay_relation
-
-        relations = (overlay_relation(overlay, names)
-                     for overlay in self._sccs.values())
-        return [relation for relation in relations if relation is not None]
+    def _live_view(self):
+        """The base universe merged with every live SCC overlay."""
+        return MergedTuple(self.universe, *self._sccs.values())
 
     def _materialize(self, rules):
         """Make every SCC of ``rules`` — a dependency-closed subset of
         the program, in program order, so it stratifies into the same
         SCC keys as the whole program — live, reusing the live ones."""
         from repro.core import fixpoint
+        from repro.core.rules import patterns_overlap
 
         live = set().union(*self._sccs)
         if all(id(rule) in live for rule in rules):
@@ -503,12 +408,17 @@ class IdlEngine:
             context=self.eval_ctx,
             reuse=self._sccs,
         )
-        for key, _, overlay in strata:
+        for key, stratum, overlay in strata:
             if key not in self._sccs:
                 self._sccs[key] = overlay
                 if key in stats.derivation_counts:
                     self._counts[key] = stats.derivation_counts[key]
-                fixpoint.merge_into(self._overlay, overlay)
+                # ``rules`` holds every rule whose head overlaps one of
+                # its own (the effect analysis closes over heads).
+                if any(patterns_overlap(rule.target, other.target)
+                       for rule in stratum for other in rules
+                       if id(other) not in key):
+                    self._shared.add(key)
         stats.derivation_counts.clear()
         self._stats = stats if self._stats is None else self._stats.add(stats)
 
@@ -517,11 +427,13 @@ class IdlEngine:
         if not self.program.rules:
             return self.universe
         self._materialize(self.program.rules)
-        return MergedTuple(self.universe, self._overlay)
+        return self._live_view()
 
     @property
     def overlay(self):
-        """The derived overlay (materializing if needed)."""
+        """The derived facts, materializing every SCC if needed: a
+        read-only view over the live SCC overlays that keeps its
+        identity until :meth:`invalidate`."""
         self.materialized_view()
         return self._overlay
 
@@ -562,8 +474,8 @@ class IdlEngine:
     def _view_for(self, statement):
         """The view a query statement evaluates against.
 
-        Every query reads the base universe merged with the combined
-        overlay of the live SCCs. Without pruning, every SCC is made
+        Every query reads the base universe merged with the live SCC
+        overlays. Without pruning, every SCC is made
         live first. With pruning, the statement's read set (closed
         through view rules) selects the dependency-closed rule subset
         the answer can depend on, and only the SCCs of that subset that
@@ -594,7 +506,7 @@ class IdlEngine:
             return self.universe
         self._materialize(needed)
         self._last_stats = self._stats
-        return MergedTuple(self.universe, self._overlay)
+        return self._live_view()
 
     # -- queries ------------------------------------------------------------
 

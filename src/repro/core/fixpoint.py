@@ -111,6 +111,8 @@ def materialize_strata(analyzed_rules, universe, method="seminaive",
     counts its derivations as it evaluates (under either ``method``:
     it takes one round both ways); the counts of each such stratum
     evaluated here land in ``stats.derivation_counts`` under its key.
+    Every stratum reads one merged view over the universe and the
+    overlays built so far, its own included.
     """
     if method not in ("naive", "seminaive"):
         raise ValueError(f"unknown fixpoint method {method!r}")
@@ -119,7 +121,8 @@ def materialize_strata(analyzed_rules, universe, method="seminaive",
     evaluate = _seminaive_stratum if method == "seminaive" else _naive_stratum
     stats = FixpointStats(method)
     overlays = []
-    view_base = universe
+    parts = [universe]
+    view = MergedTuple.over(parts)
     with tracer.span("fixpoint.materialize", method=method) as outer:
         for index, stratum in enumerate(stratify(analyzed_rules)):
             key = tuple(id(analyzed) for analyzed in stratum)
@@ -128,16 +131,18 @@ def materialize_strata(analyzed_rules, universe, method="seminaive",
                              rules=len(stratum)) as span:
                 if cached is not None:
                     overlay = cached
+                    parts.append(overlay)
                     stats.reused_strata += 1
                     span.set("reused", True)
                 else:
                     overlay = TupleObject()
+                    parts.append(overlay)
                     run = FixpointStats(method)
                     if _countable(stratum):
                         stats.derivation_counts[key] = _count_stratum(
-                            stratum, view_base, overlay, run, context)
+                            stratum, view, overlay, run, context)
                     else:
-                        evaluate(stratum, view_base, overlay, run, context)
+                        evaluate(stratum, view, overlay, run, context)
                     stats.add(run)
                     span.set("reused", False)
                     span.set("rounds", run.rounds)
@@ -146,7 +151,6 @@ def materialize_strata(analyzed_rules, universe, method="seminaive",
                 if tracer.enabled:
                     span.set("facts", count_overlay_facts(overlay))
             overlays.append((key, stratum, overlay))
-            view_base = MergedTuple(view_base, overlay)
         outer.set("strata", len(overlays))
         outer.set("rounds", stats.rounds)
         outer.set("firings", stats.rule_firings)
@@ -192,12 +196,12 @@ def merge_into(target, source):
             target.set(name, incoming.copy())
 
 
-def _naive_stratum(stratum, universe, overlay, stats, context):
+def _naive_stratum(stratum, view, overlay, stats, context):
+    """``view`` merges ``overlay`` with everything the stratum reads."""
     recursive = is_recursive_stratum(stratum)
     while True:
         stats.rounds += 1
         changes = 0
-        view = MergedTuple(universe, overlay)
         for analyzed in stratum:
             stats.rule_firings += 1
             changes += derive_once(analyzed, view, overlay, context)
@@ -206,14 +210,14 @@ def _naive_stratum(stratum, universe, overlay, stats, context):
             break
 
 
-def _seminaive_stratum(stratum, universe, overlay, stats, context):
+def _seminaive_stratum(stratum, view, overlay, stats, context):
+    """``view`` merges ``overlay`` with everything the stratum reads."""
     recursive = is_recursive_stratum(stratum)
     targets = [analyzed.target for analyzed in stratum]
 
     # Round 0: full evaluation, recording new facts into the delta.
     delta = TupleObject()
     stats.rounds += 1
-    view = MergedTuple(universe, overlay)
     for analyzed in stratum:
         stats.rule_firings += 1
         stats.derivations += _derive_tracking_delta(
@@ -227,16 +231,13 @@ def _seminaive_stratum(stratum, universe, overlay, stats, context):
     while _has_facts(delta):
         stats.rounds += 1
         next_delta = TupleObject()
-        delta_view = MergedTuple(
-            MergedTuple(universe, overlay), TupleObject({DELTA_ROOT: delta})
-        )
-        full_view = MergedTuple(universe, overlay)
+        delta_view = MergedTuple(view, TupleObject({DELTA_ROOT: delta}))
         for analyzed, rule_variants in zip(stratum, variants):
             if rule_variants is None:
                 # Fallback: full re-evaluation for this rule.
                 stats.rule_firings += 1
                 stats.derivations += _derive_tracking_delta(
-                    analyzed, full_view, overlay, next_delta, context
+                    analyzed, view, overlay, next_delta, context
                 )
                 continue
             for variant_body in rule_variants:
@@ -251,15 +252,16 @@ def _seminaive_stratum(stratum, universe, overlay, stats, context):
 
 def _countable(stratum):
     """Can the stratum keep derivation counts? It must be non-recursive
-    (a single rule) and build whole elements: a merge rule extends
-    elements in place and a relation-only rule builds none."""
+    (no rule reads a head of the stratum) and build whole elements: a
+    merge rule extends elements in place and a relation-only rule
+    builds none."""
     return not is_recursive_stratum(stratum) and all(
         analyzed.constructor is not None and not analyzed.merge_on
         for analyzed in stratum
     )
 
 
-def _count_stratum(stratum, universe, overlay, stats, context):
+def _count_stratum(stratum, view, overlay, stats, context):
     """The one round of a non-recursive stratum, counting derivations.
 
     A derivation is one substitution the body's evaluation yields, not
@@ -270,15 +272,16 @@ def _count_stratum(stratum, universe, overlay, stats, context):
     way, so adding and subtracting their counts stays exact. Returns
     ``{(path, value_key): derivations}`` for the facts with more than
     one; a fact of the overlay missing from it has exactly one, which
-    is the common case (one member's rule derives each of its quotes
-    once) and costs no memory. The rule never reads its own targets,
-    so the body runs against ``universe`` alone.
+    is the common case and costs no memory. Rules with equal heads
+    share the stratum, so a quote ``k`` members hold (one rule each in
+    the unified view) has a count of ``k``, and a member's delete only
+    lowers it. No rule reads the stratum's own targets.
     """
     counts = {}
     stats.rounds += 1
     for analyzed in stratum:
         stats.rule_firings += 1
-        for subst in satisfy(analyzed.body, universe, None, context):
+        for subst in satisfy(analyzed.body, view, None, context):
             names = tuple(resolve_target(analyzed.target, subst))
             element = build_object(analyzed.constructor, subst)
             if ensure_relation(overlay, names).add(element):
@@ -404,7 +407,7 @@ def count_overlay_facts(overlay):
 # conjunct reading a changed path is redirected at the delta, so rules
 # fire only on substitutions that touch changed facts.
 #
-# * A non-recursive stratum (one rule not reading its own targets)
+# * A non-recursive stratum (no rule reading the stratum's targets)
 #   repairs by counting (Gupta, Mumick, Subrahmanian, "Maintaining
 #   Views Incrementally", SIGMOD 1993). Materialization recorded how
 #   many body substitutions derive each fact; an insert delta adds the
@@ -510,13 +513,14 @@ _OVERDELETE_MIN = 16
 _OVERDELETE_SHARE = 8
 
 
-def maintain_stratum(stratum, variants, view_base, overlay, insert_delta,
+def maintain_stratum(stratum, variants, view, overlay, insert_delta,
                      delete_delta, counts, stats, context):
     """Repair one stratum's overlay in place after an update.
 
+    ``view`` merges ``overlay`` with everything the stratum reads (base
+    relations and already repaired upstream strata);
     ``insert_delta``/``delete_delta`` are overlay-shaped universes of
-    the concrete facts inserted into / deleted from the stratum's
-    inputs (base relations and already repaired upstream strata);
+    the concrete facts inserted into / deleted from those inputs;
     ``variants`` comes from :func:`maintenance_plan`. ``counts`` is a
     non-recursive stratum's derivation counts, as
     :func:`materialize_strata` recorded them (only facts with more than
@@ -524,21 +528,22 @@ def maintain_stratum(stratum, variants, view_base, overlay, insert_delta,
     counting, and ``counts`` is kept in step. It is None for a
     recursive stratum, which runs DRed. Returns ``(added,
     removed)`` — the net changes to this stratum's own overlay as
-    ``{path: {value_key: element}}`` dicts, for seeding downstream
-    strata and patching the combined overlay. Raises
+    ``{path: {value_key: element}}`` dicts, which are exactly the
+    changes downstream strata read (the stratum is the one owner of
+    the paths it derives into). Raises
     :class:`MaintenanceAborted` when a DRed delete cascade exceeds the
     cost budget (the overlay is then partially mutated and unusable).
     """
     if counts is not None:
-        return _maintain_counting(stratum, variants, view_base, overlay,
+        return _maintain_counting(stratum, variants, view, overlay,
                                   insert_delta, delete_delta, counts, stats,
                                   context)
     budget = max(_OVERDELETE_MIN,
                  count_overlay_facts(overlay) // _OVERDELETE_SHARE)
-    removed = _maintain_overdelete(stratum, variants, view_base, overlay,
+    removed = _maintain_overdelete(stratum, variants, view, overlay,
                                    delete_delta, stats, context, budget)
-    _maintain_rederive(stratum, view_base, overlay, removed, stats, context)
-    added = _maintain_insert(stratum, variants, view_base, overlay,
+    _maintain_rederive(stratum, view, overlay, removed, stats, context)
+    added = _maintain_insert(stratum, variants, view, overlay,
                              insert_delta, stats, context)
     # A fact deleted and re-added in the same repair is no net change.
     for names, elements in list(added.items()):
@@ -557,7 +562,7 @@ def maintain_stratum(stratum, variants, view_base, overlay, insert_delta,
     return added, removed
 
 
-def _maintain_counting(stratum, variants, view_base, overlay, insert_delta,
+def _maintain_counting(stratum, variants, view, overlay, insert_delta,
                        delete_delta, counts, stats, context):
     """Counting repair of a non-recursive stratum: net each touched
     fact's derivation count change over both deltas, then add the facts
@@ -566,7 +571,7 @@ def _maintain_counting(stratum, variants, view_base, overlay, insert_delta,
     for delta, sign in ((delete_delta, -1), (insert_delta, 1)):
         if not _has_facts(delta):
             continue
-        delta_view = MergedTuple(view_base, TupleObject({DELTA_ROOT: delta}))
+        delta_view = MergedTuple(view, TupleObject({DELTA_ROOT: delta}))
         for analyzed, rule_variants in zip(stratum, variants):
             for variant_body in rule_variants:
                 stats.rule_firings += 1
@@ -605,7 +610,7 @@ def _maintain_counting(stratum, variants, view_base, overlay, insert_delta,
     return added, removed
 
 
-def _maintain_overdelete(stratum, variants, view_base, overlay, delete_delta,
+def _maintain_overdelete(stratum, variants, view, overlay, delete_delta,
                          stats, context, budget):
     """DRed phase 1: remove every overlay fact with a derivation through
     a deleted input, transitively. Conservative — phase 2 restores the
@@ -620,10 +625,10 @@ def _maintain_overdelete(stratum, variants, view_base, overlay, delete_delta,
     merge_into(deleted_all, delete_delta)
     delta = delete_delta
     while _has_facts(delta):
-        # The *old* view: current base+overlay with the deleted facts
+        # The *old* view: the current view with the deleted facts
         # merged back in (a superset of the pre-update view, which keeps
         # the over-deletion conservative).
-        old_view = MergedTuple(MergedTuple(view_base, overlay), deleted_all)
+        old_view = MergedTuple(view, deleted_all)
         delta_view = MergedTuple(old_view, TupleObject({DELTA_ROOT: delta}))
         next_delta = TupleObject()
         for analyzed, rule_variants in zip(stratum, variants):
@@ -646,14 +651,13 @@ def _maintain_overdelete(stratum, variants, view_base, overlay, delete_delta,
     return removed
 
 
-def _maintain_rederive(stratum, view_base, overlay, removed, stats, context):
+def _maintain_rederive(stratum, view, overlay, removed, stats, context):
     """DRed phase 2: restore over-deleted facts that still have a
     derivation from the surviving view, to fixpoint (a restored fact can
     re-justify another)."""
     progress = True
     while progress and any(removed.values()):
         progress = False
-        view = MergedTuple(view_base, overlay)
         for names, elements in removed.items():
             for key, element in list(elements.items()):
                 if _rederivable(stratum, names, element, view, stats, context):
@@ -683,7 +687,7 @@ def _rederivable(stratum, names, element, view, stats, context):
     return False
 
 
-def _maintain_insert(stratum, variants, view_base, overlay, insert_delta,
+def _maintain_insert(stratum, variants, view, overlay, insert_delta,
                      stats, context):
     """Semi-naive insertion seeded with the update delta as round 0."""
     added = {}
@@ -692,9 +696,7 @@ def _maintain_insert(stratum, variants, view_base, overlay, insert_delta,
     delta = insert_delta
     while _has_facts(delta):
         next_delta = TupleObject()
-        delta_view = MergedTuple(
-            MergedTuple(view_base, overlay), TupleObject({DELTA_ROOT: delta})
-        )
+        delta_view = MergedTuple(view, TupleObject({DELTA_ROOT: delta}))
         for analyzed, rule_variants in zip(stratum, variants):
             for variant_body in rule_variants:
                 stats.rule_firings += 1
@@ -819,16 +821,6 @@ def ensure_relation(overlay, names):
     return parent.get(leaf)
 
 
-def overlay_relations(overlay, names=()):
-    """Yield ``(names, relation)`` for every set in an overlay."""
-    for name in overlay.attr_names():
-        obj = overlay.get(name)
-        if obj.is_set:
-            yield names + (name,), obj
-        elif obj.is_tuple:
-            yield from overlay_relations(obj, names + (name,))
-
-
 def overlay_relation(overlay, names):
     """The set at ``names``, or None when the path does not exist."""
     obj = overlay
@@ -863,19 +855,3 @@ def prune_empty_path(overlay, names):
         else:
             break
 
-
-def apply_path_deltas(overlay, added, removed):
-    """Patch a combined overlay with per-path net changes (the cheap
-    alternative to re-running :func:`combine_overlays`)."""
-    for names, elements in removed.items():
-        relation = overlay_relation(overlay, names)
-        if relation is None:
-            continue
-        for element in elements.values():
-            relation.discard_value(element)
-        if not len(relation):
-            prune_empty_path(overlay, names)
-    for names, elements in added.items():
-        relation = ensure_relation(overlay, names)
-        for element in elements.values():
-            relation.add(element.copy())

@@ -318,7 +318,11 @@ def _merge_element(relation, element, merge_on):
     """Fold ``element`` into an existing element sharing the merge keys.
 
     Returns the changed element, or None when nothing changed. Elements
-    lacking one of the merge attributes never merge.
+    lacking one of the merge attributes never merge. Two atoms
+    conflicting on one attribute keep the higher (the paper's pnew
+    reconciliation), so the merged element does not depend on the order
+    its facts arrive in: a repaired relation lists its facts in another
+    order than a rebuilt one.
     """
     if not element.is_tuple:
         relation.add(element)
@@ -340,7 +344,9 @@ def _merge_element(relation, element, merge_on):
             changed = False
             for name in element.attr_names():
                 obj = element.get(name)
-                if not existing.has(name) or not same_value(existing.get(name), obj):
+                held = existing.get_or_none(name)
+                if held is None or not (same_value(held, obj)
+                                        or _outranks(held, obj)):
                     existing.set(name, obj)
                     changed = True
             if changed:
@@ -348,6 +354,14 @@ def _merge_element(relation, element, merge_on):
                 return existing
             return None
     return element if relation.add(element) else None
+
+
+def _outranks(held, incoming):
+    """Does the atom ``held`` rank above the atom ``incoming``? Atoms of
+    one kind compare by value; kinds (number, string, ...) by name."""
+    if not (held.is_atom and incoming.is_atom):
+        return False
+    return held.value_key()[1:] > incoming.value_key()[1:]
 
 
 def derive_once(analyzed, universe_view, overlay, context=None):

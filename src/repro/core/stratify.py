@@ -9,7 +9,9 @@ match anything). Negated references create negative edges.
 The strongly connected components of the graph, in reverse topological
 order, are the evaluation strata; a negative edge inside a component
 means negation through recursion, which is rejected with
-:class:`StratificationError`.
+:class:`StratificationError`. Rules whose heads are equal up to variable
+names also share a stratum, so every derived path a stratum writes has
+that stratum as its one owner.
 """
 
 from __future__ import annotations
@@ -68,8 +70,9 @@ def stratify(analyzed_rules):
     """Partition rules into evaluation strata.
 
     Returns a list of lists of AnalyzedRule; every rule's (positive or
-    negative) dependencies live in the same or an earlier stratum, and
-    negative dependencies live strictly earlier.
+    negative) dependencies live in the same or an earlier stratum,
+    negative dependencies live strictly earlier, and rules with equal
+    heads live in the same one.
     """
     count = len(analyzed_rules)
     positive_edges = [set() for _ in range(count)]
@@ -80,7 +83,20 @@ def stratify(analyzed_rules):
         else:
             negative_edges[from_index].add(to_index)
 
-    components = _tarjan_scc(count, positive_edges, negative_edges)
+    # Rules with equal heads are tied into one component. They have
+    # identical readers (overlap looks only at the constants and their
+    # positions), so a negative edge the ties pull into a component
+    # already closed a cycle without them: no program that stratifies
+    # untied is rejected. The ties stay out of the cycle diagnostics.
+    ties = [set() for _ in range(count)]
+    owners = {}
+    for index, analyzed in enumerate(analyzed_rules):
+        owner = owners.setdefault(_head_shape(analyzed.target), index)
+        if owner != index:
+            ties[owner].add(index)
+            ties[index].add(owner)
+
+    components = _tarjan_scc(count, positive_edges, negative_edges, ties)
     component_of = {}
     for component_index, members in enumerate(components):
         for member in members:
@@ -100,15 +116,22 @@ def stratify(analyzed_rules):
                 )
 
     # One stratum per SCC, in topological order (dependencies first).
-    # A dependency-closed subset of the rules holds every SCC it touches
-    # whole, so — passed in program order — it stratifies into the same
-    # SCC keys (rule tuples) as the full program; the engine's overlay
-    # cache relies on that to share SCCs between pruned and full queries.
+    # A dependency-closed subset of the rules that holds every rule of
+    # each head it derives holds every SCC it touches whole, so — passed
+    # in program order — it stratifies into the same SCC keys (rule
+    # tuples) as the full program; the engine's overlay cache relies on
+    # that to share SCCs between pruned and full queries.
     order = _component_order(components, component_of, positive_edges, negative_edges)
     strata = []
     for component_index in order:
         strata.append([analyzed_rules[member] for member in components[component_index]])
     return strata
+
+
+def _head_shape(target):
+    """A head target pattern up to variable names: its length and the
+    constants at their positions."""
+    return tuple(term if isinstance(term, Const) else None for term in target)
 
 
 def _rule_label(analyzed):
@@ -165,9 +188,10 @@ def _negative_cycle_error(analyzed_rules, from_index, to_index, members,
     return error
 
 
-def _tarjan_scc(count, positive_edges, negative_edges):
+def _tarjan_scc(count, positive_edges, negative_edges, ties):
     """Tarjan's SCC over the union graph; iterative to avoid deep stacks."""
-    graph = [positive_edges[i] | negative_edges[i] for i in range(count)]
+    graph = [positive_edges[i] | negative_edges[i] | ties[i]
+             for i in range(count)]
     index_counter = [0]
     indices = [None] * count
     lowlinks = [0] * count
@@ -245,7 +269,7 @@ def _component_order(components, component_of, positive_edges, negative_edges):
     return order
 
 
-def is_recursive_stratum(stratum, analyzed_rules=None):
+def is_recursive_stratum(stratum):
     """Does any rule in the stratum read a target defined in the stratum?"""
     for reader in stratum:
         for pattern, _ in reader.references:

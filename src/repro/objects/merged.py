@@ -1,18 +1,20 @@
-"""Read-only merged views over two object graphs.
+"""Read-only merged views over several object graphs.
 
 Section 6's derived views must be visible to queries *alongside* the base
 universe without mutating it: "the derived fact is made true in the
 universe tuple", but re-materializing views must never leak into the
 extensional databases. The engine therefore materializes derived facts
-into a separate overlay universe and exposes a *merged* read-only view of
-``(base, overlay)`` to the evaluator.
+into separate overlay universes (one per stratum) and exposes a *merged*
+read-only view of ``(base, overlay, ...)`` to the evaluator.
 
-Merge rules, applied attribute-wise:
+Merge rules, applied attribute-wise over the parts holding the
+attribute, in order:
 
 * attribute present in only one part -> that part's object;
-* both parts tuple-valued        -> a :class:`MergedTuple` of the two;
-* both parts set-valued          -> a :class:`MergedSet` (value union);
-* category clash                 -> the overlay (derived) object wins.
+* every part tuple-valued        -> a :class:`MergedTuple` of them;
+* every part set-valued          -> a :class:`MergedSet` (value union);
+* category clash                 -> a later part shadows every earlier
+  one (a derived object wins over the base).
 
 Merged objects implement the same read interface as the concrete classes
 (:meth:`attr_names`/:meth:`get` for tuples, :meth:`elements` for sets),
@@ -26,49 +28,64 @@ from __future__ import annotations
 from repro.objects.base import SET, TUPLE, IdlObject
 
 
-def merge_objects(base, overlay):
-    """Merge two IdlObjects per the overlay rules above."""
-    if base is None:
-        return overlay
-    if overlay is None:
-        return base
-    if base.category == TUPLE and overlay.category == TUPLE:
-        return MergedTuple(base, overlay)
-    if base.category == SET and overlay.category == SET:
-        return MergedSet(base, overlay)
-    return overlay
+def merge_objects(*parts):
+    """Merge IdlObjects per the rules above; None parts are skipped."""
+    group = []
+    for part in parts:
+        if part is None:
+            continue
+        if group and (part.category != group[0].category
+                      or part.category not in (TUPLE, SET)):
+            group = []  # a clash: this part shadows the earlier ones
+        group.append(part)
+    if len(group) < 2:
+        return group[0] if group else None
+    if group[0].category == TUPLE:
+        return MergedTuple(*group)
+    return MergedSet(*group)
 
 
 class MergedTuple(IdlObject):
-    """Read-only union of two tuple-like objects (overlay shadows base)."""
+    """Read-only union of tuple-like objects (later parts shadow earlier)."""
 
-    __slots__ = ("_base", "_overlay")
+    __slots__ = ("_parts",)
 
     category = TUPLE
 
-    def __init__(self, base, overlay):
-        self._base = base
-        self._overlay = overlay
+    def __init__(self, *parts):
+        self._parts = parts
+
+    @classmethod
+    def over(cls, parts):
+        """A view over the live collection ``parts`` (a list or a dict's
+        values, say): every lookup reads the parts it holds then."""
+        merged = cls.__new__(cls)
+        merged._parts = parts
+        return merged
 
     def attr_names(self):
-        names = list(self._base.attr_names())
-        seen = set(names)
-        for name in self._overlay.attr_names():
-            if name not in seen:
-                names.append(name)
+        names = []
+        seen = set()
+        for part in self._parts:
+            for name in part.attr_names():
+                if name not in seen:
+                    seen.add(name)
+                    names.append(name)
         return names
 
     def has(self, name):
-        return self._base.has(name) or self._overlay.has(name)
+        for part in self._parts:
+            if part.has(name):
+                return True
+        return False
 
     def get(self, name):
-        in_base = self._base.has(name)
-        in_overlay = self._overlay.has(name)
-        if in_base and in_overlay:
-            return merge_objects(self._base.get(name), self._overlay.get(name))
-        if in_overlay:
-            return self._overlay.get(name)
-        return self._base.get(name)
+        held = [part.get(name) for part in self._parts if part.has(name)]
+        if len(held) == 1:
+            return held[0]
+        if not held:
+            raise KeyError(name)
+        return merge_objects(*held)
 
     def get_or_none(self, name):
         return self.get(name) if self.has(name) else None
@@ -101,26 +118,25 @@ class MergedTuple(IdlObject):
         return fresh
 
     def __repr__(self):
-        return f"MergedTuple({self._base!r}, {self._overlay!r})"
+        return f"MergedTuple({', '.join(map(repr, self._parts))})"
 
 
 class MergedSet(IdlObject):
-    """Read-only value union of two set-like objects."""
+    """Read-only value union of set-like objects."""
 
-    __slots__ = ("_base", "_overlay")
+    __slots__ = ("_parts",)
 
     category = SET
 
-    def __init__(self, base, overlay):
-        self._base = base
-        self._overlay = overlay
+    def __init__(self, *parts):
+        self._parts = parts
 
     def elements(self):
         merged = []
         seen = set()
-        for part in (self._base, self._overlay):
+        for part in self._parts:
             # Iterate the parts directly (no snapshot copies): this loop
-            # completes synchronously and mutates neither part.
+            # completes synchronously and mutates no part.
             for obj in part:
                 key = obj.value_key()
                 if key not in seen:
@@ -135,11 +151,11 @@ class MergedSet(IdlObject):
         return len(self.elements())
 
     def contains_value(self, obj):
-        return self._base.contains_value(obj) or self._overlay.contains_value(obj)
+        return any(part.contains_value(obj) for part in self._parts)
 
     @property
     def is_empty(self):
-        return len(self._base) == 0 and len(self._overlay) == 0
+        return all(len(part) == 0 for part in self._parts)
 
     def value_key(self):
         return (SET, frozenset(obj.value_key() for obj in self.elements()))
@@ -154,4 +170,4 @@ class MergedSet(IdlObject):
         return fresh
 
     def __repr__(self):
-        return f"MergedSet({self._base!r}, {self._overlay!r})"
+        return f"MergedSet({', '.join(map(repr, self._parts))})"

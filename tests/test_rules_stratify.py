@@ -19,6 +19,8 @@ from repro.core.substitution import Substitution
 from repro.core.terms import Const, Var
 from repro.errors import SemanticError, StratificationError
 from repro.objects import Atom, TupleObject, from_python, to_python
+from repro.obs import InMemoryCollector, Observability
+from tests.conftest import answers_set
 
 
 def analyzed(source, merge_on=()):
@@ -119,7 +121,9 @@ class TestStratify:
         ]
         strata = stratify(rules)
         recursive = [s for s in strata if is_recursive_stratum(s)]
-        assert recursive and len(recursive[0]) == 2
+        # The two v.even rules share their head, so the base rule joins
+        # the cycle's SCC.
+        assert len(strata) == 1 and len(recursive[0]) == 3
 
     def test_negative_cycle_rejected(self):
         rules = [
@@ -256,6 +260,20 @@ class TestMakeTrue:
         assert make_true(rule, subst, overlay) is not None
         assert make_true(rule, subst, overlay) is None
 
+    def test_merge_conflict_keeps_the_higher_value_in_any_order(self):
+        rule = self.build(
+            ".v.r(.date=D, .S=P) <- .d.q(.date=D, .s=S, .p=P)",
+            merge_on=("date",),
+        )
+        for prices in ((1, 2), (2, 1)):
+            overlay = TupleObject()
+            for price in prices:
+                make_true(rule, Substitution.of(
+                    {"D": Atom("d1"), "S": Atom("hp"), "P": Atom(price)}
+                ), overlay)
+            assert to_python(overlay.get("v").get("r")) == [
+                {"date": "d1", "hp": 2}]
+
     def test_relation_creation_counts_as_change(self):
         rule = self.build(".v.flag() <- .d.r(.x=X)")
         overlay = TupleObject()
@@ -268,3 +286,165 @@ class TestMakeTrue:
         overlay = from_python({"v": 5})  # v is an atom, not a tuple
         with pytest.raises(SemanticError):
             make_true(rule, Substitution.of({"X": Atom(1)}), overlay)
+
+
+class TestOneOwnerPerHead:
+    """Rules whose heads are equal up to variable names share a stratum,
+    so each derived path has one owner; heads that only overlap keep
+    strata of their own."""
+
+    def stratum_of(self, strata, rule):
+        [index] = [i for i, stratum in enumerate(strata) if rule in stratum]
+        return index
+
+    def test_equal_heads_share_a_stratum(self):
+        rules = [
+            analyzed(".v.p(.x=X) <- .d.r(.x=X)"),
+            analyzed(".v.q(.x=X) <- .d.s(.x=X)"),
+            analyzed(".v.p(.x=Y) <- .d.s(.x=Y)"),
+            analyzed(".dbO.S(.x=X) <- .d.r(.s=S, .x=X)"),
+            analyzed(".dbO.T(.y=X) <- .d.s(.t=T, .x=X)"),
+        ]
+        strata = stratify(rules)
+        assert sorted(len(stratum) for stratum in strata) == [1, 2, 2]
+        assert self.stratum_of(strata, rules[0]) \
+            == self.stratum_of(strata, rules[2])
+        assert self.stratum_of(strata, rules[3]) \
+            == self.stratum_of(strata, rules[4])
+        assert not any(is_recursive_stratum(stratum) for stratum in strata)
+
+    def test_overlapping_unequal_heads_keep_their_strata(self):
+        rules = [
+            analyzed(".v.a(.x=X) <- .d.q(.x=X)"),
+            analyzed(".v.S(.x=X) <- .d.r(.s=S, .x=X)"),
+            analyzed(".W.a(.x=X) <- .d.r(.s=W, .x=X)"),
+        ]
+        assert [len(stratum) for stratum in stratify(rules)] == [1, 1, 1]
+
+    def test_merge_view_over_one_owner_equals_rebuild(self):
+        # A repair lists the fact it adds to ``u.p`` last; a rebuild
+        # lists it among its own rule's facts. The merge view over
+        # ``u.p`` must not tell the two orders apart.
+        engine = IdlEngine()
+        engine.add_database("a", {"r": [{"d": 1, "s": "hp", "p": 10}]})
+        engine.add_database("b", {"r": [{"d": 1, "s": "hp", "p": 20}]})
+        engine.define(".u.p(.d=D, .s=S, .p=P) <- .a.r(.d=D, .s=S, .p=P)")
+        engine.define(".u.p(.d=D, .s=S, .p=P) <- .b.r(.d=D, .s=S, .p=P)")
+        engine.define(".c.r(.d=D, .S=P) <- .u.p(.d=D, .s=S, .p=P)",
+                      merge_on=("d",))
+        query = "?.c.r(.d=D, .S=P), S != d"
+        assert answers_set(engine.query(query), "S", "P") == {("hp", 20)}
+        engine.update("?.a.r+(.d=1, .s=hp, .p=30)")
+        repaired = answers_set(engine.query(query), "S", "P")
+        engine.invalidate()
+        assert repaired == answers_set(engine.query(query), "S", "P") \
+            == {("hp", 30)}
+
+    def test_pruned_subsets_keep_the_program_keys(self):
+        engine = IdlEngine()
+        engine.define(".v.p(.x=X) <- .d.r(.x=X)")
+        engine.define(".w.q(.x=X) <- .v.p(.x=X)")
+        engine.define(".v.p(.x=X) <- .d.s(.x=X)")
+        engine.define(".g.tc(.a=X, .b=Y) <- .g.e(.a=X, .b=Y)")
+        engine.define(".g.tc(.a=X, .b=Y) <- .g.tc(.a=X, .b=Z), "
+                      ".g.e(.a=Z, .b=Y)")
+        program_keys = scc_keys(engine.program.rules)
+        assert sorted(len(key) for key in program_keys) == [1, 2, 2]
+        for source, rules in (("?.v.p(.x=X)", 2), ("?.w.q(.x=X)", 3),
+                              ("?.g.tc(.a=X, .b=Y)", 2)):
+            statement = parse_program(source)[0]
+            _, needed = engine.effect_analysis().query_footprint(statement)
+            assert len(needed) == rules
+            assert set(scc_keys(needed)) <= set(program_keys)
+
+
+#: ``.v.a`` and the higher-order ``.v.S`` overlap without being equal,
+#: and ``w.c`` negates ``.v.b``, which only ``.v.S`` can derive. Tying
+#: overlapping heads together would put ``v.a``, ``w.c`` and ``v.S`` in
+#: one negative cycle; tying equal heads only keeps three strata.
+OVERLAP_PROGRAM = (
+    ".v.a(.x=X) <- .w.c(.x=X)",
+    ".w.c(.x=X) <- .d.q(.x=X), .v.b~(.x=X)",
+    ".v.S(.x=X) <- .d.r(.s=S, .x=X)",
+)
+
+OVERLAP_QUERIES = {
+    "?.v.a(.x=X)": ("X",),
+    "?.w.c(.x=X)": ("X",),
+    "?.v.S(.x=X)": ("S", "X"),
+}
+
+
+class TestOverlappingHeads:
+    def build(self, obs=None):
+        engine = IdlEngine(obs=obs)
+        engine.add_database("d", {
+            "q": [{"x": 1}, {"x": 2}, {"x": 3}],
+            "r": [{"s": "b", "x": 1}, {"s": "a", "x": 5}],
+        })
+        for source in OVERLAP_PROGRAM:
+            engine.define(source)
+        return engine
+
+    def answers(self, engine):
+        return {query: answers_set(engine.query(query), *names)
+                for query, names in OVERLAP_QUERIES.items()}
+
+    def test_program_stratifies(self):
+        strata = stratify([analyzed(source) for source in OVERLAP_PROGRAM])
+        assert [len(stratum) for stratum in strata] == [1, 1, 1]
+
+    def test_maintenance_falls_back_and_equals_rebuild(self):
+        obs = Observability(enabled=True)
+        collector = obs.add_exporter(InMemoryCollector())
+        engine = self.build(obs)
+        engine.materialized_view()
+        assert answers_set(engine.query("?.v.a(.x=X)"), "X") == {2, 3, 5}
+        for request in ("?.d.r+(.s=b, .x=2)", "?.d.r-(.s=b, .x=1)"):
+            engine.update(request)
+            span = collector.find("fixpoint.maintain")
+            reasons = [attributes["reason"] for name, attributes
+                       in span.events if name == "stratum-fallback"]
+            assert "shared-head" in reasons
+            repaired = self.answers(engine)
+            engine.invalidate()
+            assert repaired == self.answers(engine)
+        assert answers_set(engine.query("?.v.a(.x=X)"), "X") == {1, 3, 5}
+
+    def test_shared_head_keeps_a_fact_another_scc_holds(self):
+        # ``v.a`` 2 derives from both heads; the ``.v.S`` side losing it
+        # is no change of the union ``u.z`` reads.
+        engine = IdlEngine()
+        engine.add_database("d", {"q": [{"x": 2}],
+                                  "r": [{"s": "a", "x": 2}]})
+        engine.define(".v.a(.x=X) <- .d.q(.x=X)")
+        engine.define(".v.S(.x=X) <- .d.r(.s=S, .x=X)")
+        engine.define(".u.z(.x=X) <- .v.a(.x=X)")
+        engine.materialized_view()
+        engine.update("?.d.r-(.s=a, .x=2)")
+        assert answers_set(engine.query("?.u.z(.x=X)"), "X") == {2}
+
+
+class TestFederationStrata:
+    def live_sccs(self, n_members):
+        from repro.multidb import Federation, FederationConfig
+        from repro.workloads.stocks import StockWorkload
+
+        obs = Observability(enabled=True)
+        collector = obs.add_exporter(InMemoryCollector())
+        federation = Federation.from_config(FederationConfig(obs=obs))
+        data = StockWorkload(n_stocks=3, n_days=2)
+        for index in range(n_members):
+            style = ("euter", "chwab", "ource")[index % 3]
+            federation.add_member(f"m{index:02d}", style,
+                                  data.relations_for(style))
+        for user, style in (("dbE", "euter"), ("dbC", "chwab"),
+                            ("dbO", "ource")):
+            federation.add_user_view(user, style)
+        federation.install()
+        federation.engine.invalidate()
+        federation.engine.materialized_view()
+        return collector.find("fixpoint.materialize").attributes["strata"]
+
+    def test_live_scc_count_does_not_grow_with_members(self):
+        assert self.live_sccs(4) == self.live_sccs(16)
