@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro import IdlEngine
@@ -78,3 +80,22 @@ def answers_set(results, *names):
     if len(names) == 1:
         return {answer[names[0]] for answer in results}
     return {tuple(answer[name] for name in names) for answer in results}
+
+
+_TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+
+
+def pytest_collection_modifyitems(config, items):
+    """A bare run leaves out this directory's ``slow`` tests (the full
+    crash-explorer product); any ``-m`` expression (``-m slow``,
+    ``-m chaos``) decides for itself."""
+    if config.option.markexpr:
+        return
+    slow = [
+        item for item in items
+        if "slow" in item.keywords
+        and os.path.abspath(str(item.fspath)).startswith(_TESTS_DIR)
+    ]
+    if slow:
+        config.hook.pytest_deselected(items=slow)
+        items[:] = [item for item in items if item not in slow]
