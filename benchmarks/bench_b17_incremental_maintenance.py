@@ -213,7 +213,7 @@ def test_b17_incremental_maintenance(benchmark):
     for label, _, sizes, _, _ in VIEWS:
         for kind in ("insert", "delete"):
             checks.append(experiment.check(
-                timings[(label, sizes[-1], kind, "rebuild")] + JITTER
+                timings[(label, sizes[-1], kind, "rebuild")]
                 >= 1.5 * timings[(label, sizes[-1], kind, "repair")],
                 f"{label} point {kind} beats the rebuild (>= 1.5x) at "
                 f"the largest size",

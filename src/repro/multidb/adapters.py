@@ -9,6 +9,7 @@ ends up exactly as if it had executed the translated updates locally.
 
 from __future__ import annotations
 
+from repro.multidb.changes import MemberChange, apply_change
 from repro.objects import encode
 from repro.storage.schema import ANY, BOOL, FLOAT, INT, STR, Column, Schema
 
@@ -67,19 +68,66 @@ def infer_schema(rows):
     return Schema(built)
 
 
-def universe_rows(universe, name):
+def universe_rows(universe, name, relations=None):
     """Database ``name``'s relations as plain ``{rel: rows}`` (the wire
-    format member connectors speak)."""
+    format member connectors speak). ``relations`` limits it to those
+    names; one that is absent or not a set is left out."""
     database = universe.database(name)
+    if relations is None:
+        relations = database.attr_names()
     desired = {}
-    for rel_name in database.attr_names():
-        relation = database.get(rel_name)
+    for rel_name in relations:
+        relation = database.get_or_none(rel_name)
+        if relation is None:
+            continue
         if relation.is_set:
             rows = [
                 encode.to_python(element) for element in relation.elements()
             ]
             desired[rel_name] = [row for row in rows if isinstance(row, dict)]
     return desired
+
+
+def apply_change_to_storage(storage, change):
+    """Apply a member change to ``storage`` by
+    :func:`~repro.multidb.changes.apply_change`; the caller holds the
+    transaction. Each relation the change touches is read, changed and
+    written back whole (new relations get an inferred schema, and a
+    relation gaining columns is recreated wider). Rows compare as the
+    relation stores them: a row's missing columns read as null."""
+    touched = set()
+    for key in ("replace", "delete", "insert"):
+        touched.update(change.get(key, {}))
+    if change.get("full"):
+        touched.update(storage.relation_names())
+    rows = {rel_name: storage.scan(rel_name)
+            for rel_name in touched if storage.has_relation(rel_name)}
+    stored = MemberChange(change)
+    for key in ("delete", "insert"):
+        if key in change:
+            stored[key] = {
+                rel_name: [_stored_form(storage, rel_name, row)
+                           for row in part]
+                for rel_name, part in change[key].items()
+            }
+    apply_change(rows, stored)
+    for rel_name in sorted(touched):
+        if rel_name in rows:
+            storage.replace_relation(rel_name, rows[rel_name], infer_schema)
+        elif storage.has_relation(rel_name):
+            storage.drop_relation(rel_name)
+
+
+def _stored_form(storage, rel_name, row):
+    """``row`` as relation ``rel_name`` stores it, its missing columns
+    null; as is when the relation is absent or lacks one of its
+    columns."""
+    if not storage.has_relation(rel_name):
+        return row
+    columns = storage.catalog.schema_of(rel_name).column_names()
+    if not set(row) <= set(columns):
+        return row
+    return {column: row.get(column) for column in columns}
 
 
 def flush_rows_to_storage(storage, desired):

@@ -4,8 +4,10 @@ A :class:`MemberConnector` is how the federation reaches one autonomous
 member database — three operations only:
 
 * ``scan()`` — snapshot the member's relations as ``{rel: rows}``;
-* ``apply(desired)`` — make the member hold exactly ``desired``
-  (``{rel: rows}``), transactionally where the member supports it;
+* ``apply(change)`` — apply a
+  :class:`~repro.multidb.changes.MemberChange` (or make the member hold
+  a full ``{rel: rows}`` state), transactionally where the member
+  supports it;
 * ``ping()`` — cheap liveness check.
 
 :class:`InMemoryConnector` serves plain row data, and
@@ -25,6 +27,7 @@ import random
 import threading
 
 from repro.errors import MemberUnavailableError
+from repro.multidb.changes import apply_change, as_change, torn_change
 
 
 class MemberConnector:
@@ -34,8 +37,12 @@ class MemberConnector:
         """Snapshot the member: ``{relation_name: [row_dict, ...]}``."""
         raise NotImplementedError
 
-    def apply(self, desired):
-        """Make the member hold exactly ``desired`` (``{rel: rows}``)."""
+    def apply(self, change):
+        """Apply ``change`` (:mod:`repro.multidb.changes`): replace
+        relations, then delete each row if present, then insert each row
+        if absent, so applying a change twice is applying it once. A
+        plain ``{rel: rows}`` state is the full change: the member ends
+        holding exactly that state."""
         raise NotImplementedError
 
     def ping(self):
@@ -46,9 +53,9 @@ class MemberConnector:
 class InMemoryConnector(MemberConnector):
     """A member that is just rows in this process's memory.
 
-    Thread-safe: hedged scans may read while an apply replaces the
-    state, so reads and the state swap happen under a lock (the deep
-    copy of the incoming state is built outside it).
+    Thread-safe: hedged scans may read while an apply changes the
+    state, so reads and applies run under a lock (the copy of the
+    incoming change is made outside it).
     """
 
     def __init__(self, relations=None):
@@ -59,10 +66,10 @@ class InMemoryConnector(MemberConnector):
         with self._lock:
             return copy.deepcopy(self._relations)
 
-    def apply(self, desired):
-        snapshot = copy.deepcopy(dict(desired))
+    def apply(self, change):
+        change = copy.deepcopy(as_change(change))
         with self._lock:
-            self._relations = snapshot
+            apply_change(self._relations, change)
 
     def rows(self, relation):
         with self._lock:
@@ -72,10 +79,10 @@ class InMemoryConnector(MemberConnector):
 class StorageConnector(MemberConnector):
     """A member running on the relational storage substrate.
 
-    ``apply`` is atomic: the whole replacement runs inside one storage
+    ``apply`` is atomic: the whole change runs inside one storage
     :class:`~repro.storage.transaction.Transaction`, so a failure
     injected (or occurring) mid-apply aborts and leaves the member
-    exactly as it was — never half-replaced.
+    exactly as it was — never half-changed.
     """
 
     def __init__(self, storage):
@@ -86,11 +93,11 @@ class StorageConnector(MemberConnector):
 
         return storage_to_relations(self.storage)
 
-    def apply(self, desired):
-        from repro.multidb.adapters import flush_rows_to_storage
+    def apply(self, change):
+        from repro.multidb.adapters import apply_change_to_storage
 
         with self.storage.begin():
-            flush_rows_to_storage(self.storage, desired)
+            apply_change_to_storage(self.storage, as_change(change))
 
     def ping(self):
         self.storage.relation_names()
@@ -123,9 +130,10 @@ class FaultyConnector(MemberConnector):
       ``clock`` (pairs with policy deadlines; use a
       :class:`~repro.multidb.resilience.FakeClock` to keep tests
       instant);
-    * ``torn_writes=True`` — a failing ``apply`` first writes a
-      truncated prefix of the desired state to the inner connector,
-      simulating a member without transactional flush.
+    * ``torn_writes=True`` — a failing ``apply`` first writes half of
+      the change's row operations to the inner connector
+      (:func:`~repro.multidb.changes.torn_change`), simulating a member
+      without transactional flush.
 
     Counters (``calls``, ``injected``) expose what actually happened.
     When ``obs`` is set (directly, or shared down by the enclosing
@@ -214,18 +222,15 @@ class FaultyConnector(MemberConnector):
         self._enter("scan")
         return self.inner.scan()
 
-    def apply(self, desired):
+    def apply(self, change):
+        change = as_change(change)
         try:
             self._enter("apply")
         except MemberUnavailableError:
             if self.torn_writes:
-                torn = {
-                    rel: rows[: len(rows) // 2]
-                    for rel, rows in dict(desired).items()
-                }
-                self.inner.apply(torn)
+                self.inner.apply(torn_change(change))
             raise
-        self.inner.apply(desired)
+        self.inner.apply(change)
 
     def ping(self):
         self._enter("ping")

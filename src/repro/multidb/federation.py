@@ -19,8 +19,8 @@ recover. See ``docs/fault_tolerance.md``.
 
 Updates are *atomic across members*: every flush runs a write-ahead
 update-commit protocol against an
-:class:`~repro.multidb.journal.UpdateJournal` (intent with the full
-desired state of every member, per-member apply outcomes, commit), and
+:class:`~repro.multidb.journal.UpdateJournal` (intent with each
+member's row changes, per-member apply outcomes, commit), and
 ``recover()`` replays incomplete updates idempotently after a crash —
 so every member ends at exactly the pre-update or post-update state,
 never a mix. The chaos property suite (``pytest -m chaos``) drives
@@ -48,6 +48,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.multidb.adapters import storage_to_relations, universe_rows
+from repro.multidb.changes import apply_change, full_change, member_changes
 from repro.multidb.config import FederationConfig
 from repro.multidb.connectors import _as_connector
 from repro.multidb.executor import MemberExecutor, MemberTask
@@ -659,16 +660,20 @@ class Federation:
             # a member that was unreachable during recover() is rolled
             # forward through every pending update it still owes, not
             # left at the (pre-update) state the attach scan just
-            # pulled. A failed delivery leaves it stale (push) and owed.
+            # pulled. A failed delivery leaves it stale (push) and owed;
+            # its later changes then only patch the snapshot, which the
+            # push resync delivers whole.
             owing = [update for update in self.journal.pending()
                      if name in update.remaining]
             if owing:
                 with self.obs.span("federation.replay", member=name) as span:
                     for update in owing:
-                        owed = {name: update.desired[name]}
-                        self._load_member(name, owed[name])
-                        self._roll_forward(update.update_id, owed, span,
-                                           via="recover")
+                        change = update.desired[name]
+                        self._patch_member(name, change)
+                        if name not in self._stale:
+                            self._roll_forward(update.update_id,
+                                               {name: change}, span,
+                                               via="recover")
         return self
 
     def _load_member(self, name, relations):
@@ -677,6 +682,12 @@ class Federation:
         if self.engine.universe.has(name):
             self.engine.drop_database(name)
         self.engine.add_database(name, relations)
+
+    def _patch_member(self, name, change):
+        """Apply a journaled change to the universe's snapshot of
+        ``name``, which then holds the state the member owes."""
+        rows = universe_rows(self.engine.universe, name)
+        self._load_member(name, apply_change(rows, change))
 
     def _quarantine(self, name, reason):
         """Detach ``name``: drop its snapshot, remember why. Its rules
@@ -757,17 +768,17 @@ class Federation:
         take a journaled state (a failed flush, recover or re-attach
         replay) is re-*pushed*; a member that recovered from an outage
         is re-*pulled* (the member is the authority on its own data).
-        A push delivers the universe's snapshot of the member, which is
-        the newest journaled state it owes (the flush stages its intent
-        from that snapshot; recover and the re-attach replay load the
-        journaled state into it before delivering), so a successful
-        push settles the member's share of every pending journaled
-        update, committing updates it completes.
+        A push delivers the universe's snapshot of the member as a full
+        change; the snapshot is the newest state the member owes (a
+        flush stages its change after the engine applied it; recover
+        and the re-attach replay apply the journaled change to it before
+        delivering), so a successful push settles the member's share of
+        every pending journaled update, committing updates it completes.
         """
         direction = self._stale.get(name, "pull")
         if direction == "push":
             self.connectors[name].apply(
-                universe_rows(self.engine.universe, name)
+                full_change(universe_rows(self.engine.universe, name))
             )
             self.journal.resolve_member(name, via="resync")
         else:
@@ -781,19 +792,20 @@ class Federation:
         """Replay incomplete journaled updates at startup, idempotently.
 
         For every pending intent (oldest first), each member that never
-        journaled an ``applied`` outcome is rolled *forward* to its
-        journaled desired state through :meth:`_roll_forward` — full
-        states, so re-applying is idempotent and a second
-        :meth:`recover` is a no-op. Members journaled applied are not
-        touched. An attached member's universe snapshot is set to the
-        state it owes before delivery (the journal outranks the
-        pre-update state install scanned), so a member that fails its
-        apply is stale (push), exactly as a failed flush leaves it, and
-        the push resync that repairs it delivers the journaled state.
-        A quarantined member stays quarantined; its share replays when
-        it re-attaches. A pending update older than a later *committed*
-        one is anomalous — replaying it would roll members backwards —
-        and is aborted as superseded. Errors other than
+        journaled an ``applied`` outcome is rolled *forward* through
+        :meth:`_roll_forward` by its journaled change — which inserts if
+        absent and deletes if present, so re-applying is idempotent and
+        a second :meth:`recover` is a no-op. Members journaled applied
+        are not touched. An attached member's universe snapshot (the
+        state install scanned) has the change applied before delivery,
+        so a member that fails its apply is stale (push), exactly as a
+        failed flush leaves it, and the push resync that repairs it
+        delivers the state it owes; a member whose delivery failed
+        takes later changes in its snapshot only. A quarantined member
+        stays quarantined; its share replays when it re-attaches. A
+        pending update older than a later *committed* one is anomalous
+        — replaying it would roll members backwards — and is aborted as
+        superseded. Errors other than
         :class:`~repro.errors.MemberUnavailableError` propagate once
         the update's outcomes are recorded.
 
@@ -816,6 +828,7 @@ class Federation:
             )
         journal = self.journal
         replayed = {}
+        undelivered = set()  # members with a failed delivery this pass
         with self.obs.span("federation.recover") as root:
             root.set("truncated_tails", journal.truncated_tails)
             pending = journal.pending()
@@ -833,11 +846,14 @@ class Federation:
                         root.event("skip-unknown-member",
                                    update_id=update.update_id, member=member)
                         continue
-                    owed[member] = update.desired[member]
+                    change = update.desired[member]
                     if member in self._attached:
-                        self._load_member(member, owed[member])
+                        self._patch_member(member, change)
+                    if member not in undelivered:
+                        owed[member] = change
                 failures = self._roll_forward(update.update_id, owed, root,
                                               via="recover")
+                undelivered.update(failures)
                 for error in failures.values():
                     if not isinstance(error, MemberUnavailableError):
                         raise error
@@ -849,26 +865,27 @@ class Federation:
         return replayed
 
     def _roll_forward(self, update_id, owed, span, via, fail_fast=False):
-        """Deliver journaled member states: the one routine behind the
+        """Deliver journaled member changes: the one routine behind the
         flush, :meth:`recover` and the replay at re-attach.
 
-        ``owed`` maps each member to its journaled rows under
-        ``update_id``; its universe snapshot already holds them. Each
-        member's worker visits the ``connector.apply`` crash point,
-        applies the rows and journals ``applied`` — or ``failed``,
-        re-raising — with ``via``. Back on the gathering thread (the
-        engine is not thread-safe), a member that applied leaves
-        ``_stale``; every other one (failed, timed out, or skipped by a
-        serial ``fail_fast`` run) is stale (push) unless quarantined.
+        ``owed`` maps each member to its journaled change under
+        ``update_id``; its universe snapshot already has the change
+        applied. Each member's worker visits the ``connector.apply``
+        crash point, applies the change and journals ``applied`` — or
+        ``failed``, re-raising — with ``via``. Back on the gathering
+        thread (the engine is not thread-safe), a member that applied
+        leaves ``_stale``; every other one (failed, timed out, or
+        skipped by a serial ``fail_fast`` run) is stale (push) unless
+        quarantined.
         The update commits once the journal owes none of its desired
         members. Returns ``{member: error}`` for the failures, in
         member order.
         """
 
-        def deliver(name, rows):
+        def deliver(name, change):
             self._crash_point("connector.apply")
             try:
-                self.connectors[name].apply(rows)
+                self.connectors[name].apply(change)
             except Exception:
                 self.journal.record_member(update_id, name, "failed", via=via)
                 raise
@@ -876,9 +893,10 @@ class Federation:
 
         tasks = [
             MemberTask(name,
-                       (lambda name=name, rows=rows: deliver(name, rows)),
+                       (lambda name=name, change=change:
+                        deliver(name, change)),
                        deadline=self._wall_deadline(name))
-            for name, rows in owed.items()
+            for name, change in owed.items()
         ]
         failures = {}
         for outcome in self.executor.map(tasks, label=via,
@@ -1113,16 +1131,17 @@ class Federation:
         """Two-phase flush when the engine mutated anything; returns
         ``(member_outcomes, flushed, update_id)``.
 
-        Phase one *stages*: the desired post-state of every backed
-        member the update changed — the databases its change log
-        (``engine_result.delta``) names — is computed from the universe
-        and journaled as one intent record (the write-ahead step —
+        Phase one *stages*: the change log (``engine_result.delta``)
+        is split by member into one change per backed member it names —
+        its net ``+rows``/``-rows`` per relation, with any relation the
+        update changed symbolically re-encoded whole from the universe
+        — and journaled as one intent record (the write-ahead step —
         nothing has touched a member yet). Members the update left
         alone are not journaled and report ``UNCHANGED``. Phase two
-        *applies*: each staged member's connector takes its staged
-        state under the usual retry/circuit machinery, and its outcome
-        is journaled as it lands; a fully-applied update is closed with
-        a commit record. A crash anywhere in between leaves a pending
+        *applies*: each staged member's connector takes its change
+        under the usual retry/circuit machinery, and its outcome is
+        journaled as it lands; a fully-applied update is closed with a
+        commit record. A crash anywhere in between leaves a pending
         intent that :meth:`recover` replays idempotently.
         """
         if not engine_result.changed:
@@ -1133,10 +1152,12 @@ class Federation:
             targets = self._flushed & self._attached
             narrowed = targets & {prefix[0]
                                   for prefix in engine_result.touched}
-            staged = {
-                name: universe_rows(self.engine.universe, name)
-                for name in sorted(narrowed)
-            }
+            universe = self.engine.universe
+            staged = member_changes(
+                engine_result.delta, narrowed,
+                lambda name, relations: universe_rows(universe, name,
+                                                      relations),
+            ) if narrowed else {}
             outcomes = {
                 name: SNAPSHOT_ONLY
                 for name in sorted(self._attached - self._flushed)
@@ -1157,9 +1178,9 @@ class Federation:
                 # under the journal lock); the intent above and the
                 # commit stay serial, so the write-ahead ordering holds.
                 # Serially the first failure stops the loop and later
-                # members are never touched. The staged rows came from
-                # the universe, so nothing is reloaded, and every member
-                # that did not apply is left stale (push).
+                # members are never touched. The universe already holds
+                # the staged changes, so nothing is reloaded, and every
+                # member that did not apply is left stale (push).
                 failures = self._roll_forward(update_id, staged, span,
                                               via="flush", fail_fast=True)
                 if failures:

@@ -13,15 +13,21 @@ checksummed JSON-lines log of *update-commit protocol* records:
 
 ``intent``
     written before any member is touched; carries a monotonic
-    ``update`` id and the full desired post-state of every member the
-    flush will reach (full states, not deltas, so replay is idempotent).
-    The federation *narrows* the intent to the members the update
-    changed — the databases its change log
-    (:class:`~repro.core.updates.UpdateDelta`) names — so a
-    single-member update journals one member's post-state, not the
-    whole federation's. Members it left alone appear in neither the
-    intent nor the ``member`` records; recovery replays exactly the
-    narrowed set;
+    ``update`` id, the record ``version`` and, for every member the
+    flush will reach, that member's change
+    (:class:`~repro.multidb.changes.MemberChange`): its net ``+rows``
+    and ``-rows`` per relation, plus the whole contents of any relation
+    the update changed symbolically. Changes insert if absent and
+    delete if present, so replaying one is idempotent. The members are
+    exactly the databases the update's change log
+    (:class:`~repro.core.updates.UpdateDelta`) names, so a
+    single-member update journals one member's rows, not the whole
+    federation's. Members it left alone appear in neither the intent
+    nor the ``member`` records; recovery replays exactly that set. An
+    intent without a ``version`` (written before changes were) holds
+    full member states and recovers as the full changes of those
+    states; any other version is refused with
+    :class:`~repro.errors.JournalError`, and nothing is replayed;
 ``member``
     one per member outcome (``applied``/``failed``), written right
     after the member's connector ``apply`` returns or raises, with the
@@ -63,6 +69,7 @@ import threading
 import zlib
 
 from repro.errors import JournalError
+from repro.multidb.changes import VERSION, MemberChange, full_change
 
 #: Record types, in protocol order.
 INTENT = "intent"
@@ -188,6 +195,24 @@ def decode_record(line):
     return record
 
 
+def _changes(intent):
+    """An intent record's ``{member: MemberChange}``, by its version."""
+    members = intent.get("members", {})
+    version = intent.get("version")
+    if version is None:
+        return {member: full_change(state)
+                for member, state in members.items()}
+    if version != VERSION:
+        raise JournalError(
+            f"journal intent for update {intent.get('update')} has "
+            f"unknown record version {version!r}; this build reads "
+            f"version {VERSION} and versionless intents"
+        )
+    return {member: (change if isinstance(change, MemberChange)
+                     else MemberChange(change))
+            for member, change in members.items()}
+
+
 def _owed(desired, applied):
     """The completion rule: desired members with no ``applied``
     record, in deterministic order. An update completes when none is
@@ -205,7 +230,7 @@ class PendingUpdate:
     def __init__(self, update_id, seq, desired, applied, failed, origin):
         self.update_id = update_id
         self.seq = seq
-        self.desired = desired  # {member: {rel: rows}}
+        self.desired = desired  # {member: MemberChange}
         self.applied = dict(applied)  # {member: via}
         self.failed = set(failed)
         self.origin = origin
@@ -314,7 +339,7 @@ class UpdateJournal:
         if update_id is not None:
             self._next_update = max(self._next_update, update_id + 1)
         if kind == INTENT:
-            state = _UpdateState(update_id, seq, record.get("members", {}),
+            state = _UpdateState(update_id, seq, _changes(record),
                                  record.get("origin", "update"))
             self._states[update_id] = state
             self._order.append(update_id)
@@ -372,15 +397,16 @@ class UpdateJournal:
     # -- the protocol ----------------------------------------------------
 
     def begin(self, desired, origin="update"):
-        """Journal the intent to bring every member of ``desired``
-        (``{member: {rel: rows}}``) to its recorded state; returns the
-        new monotonic update id."""
+        """Journal the intent to apply each member's change in
+        ``desired`` (``{member: MemberChange}``); returns the new
+        monotonic update id."""
         with self._lock:
             update_id = self._next_update
             self._append({
                 "type": INTENT,
                 "update": update_id,
                 "origin": origin,
+                "version": VERSION,
                 "members": desired,
             })
         return update_id
@@ -455,7 +481,7 @@ class UpdateJournal:
     def resolve_member(self, member, via="resync"):
         """Mark ``member`` applied in every pending update that still
         owes it (a successful push-resync delivered the member's full
-        current state, which subsumes every journaled desired state),
+        current state, which has every journaled change applied),
         committing updates this completes. Returns the touched ids."""
         touched = []
         with self._lock:

@@ -468,20 +468,27 @@ class TestFlushFailureAndResync:
         federation.resync("chwab")
         assert ("9/9/99", "nova", 3.0) in set(federation.unified_quotes())
 
-    def test_torn_write_repaired_by_push_resync(self, workload):
+    def test_torn_change_repaired_by_push_resync(self, workload):
         federation, flaky, _ = self.setup_attached_flaky(
             workload, torn_writes=True
         )
+        day = flaky.inner.scan()["r"][0]["date"]
         flaky.set_outage(True)
+        # A new stock on an existing day edits that day's chwab row in
+        # place: the change deletes the old row and inserts the new one.
         with pytest.raises(MemberUnavailableError):
-            federation.insert_quote("nova", "9/9/99", 3.0)
-        # The member took a torn (truncated) write.
+            federation.insert_quote("nova", day, 3.0)
+        # The member took a torn write: the delete landed, the insert
+        # did not.
         torn_rows = flaky.inner.scan()["r"]
-        assert len(torn_rows) < workload.n_days
+        assert len(torn_rows) == workload.n_days - 1
+        assert all(row["date"] != day for row in torn_rows)
         flaky.restore()
         assert federation.probe("chwab") is True
         repaired = flaky.inner.scan()["r"]
-        assert len(repaired) == workload.n_days + 1  # the new 9/9/99 row
+        assert len(repaired) == workload.n_days
+        assert {"nova": 3.0}.items() <= next(
+            row for row in repaired if row["date"] == day).items()
 
 
 class TestStorageConnectorAtomicApply:
