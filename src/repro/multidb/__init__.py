@@ -27,7 +27,6 @@ from repro.multidb.authz import (
 )
 from repro.multidb.adapters import (
     attach_storage,
-    flush_rows_to_storage,
     flush_to_storage,
     infer_schema,
     storage_to_relations,
@@ -130,7 +129,6 @@ __all__ = [
     "Federation",
     "FirstOrderFederation",
     "attach_storage",
-    "flush_rows_to_storage",
     "universe_rows",
     "convert",
     "customized_view_rule",

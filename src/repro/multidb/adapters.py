@@ -130,14 +130,6 @@ def _stored_form(storage, rel_name, row):
     return {column: row.get(column) for column in columns}
 
 
-def flush_rows_to_storage(storage, desired):
-    """Make ``storage`` hold exactly ``desired`` (``{rel: rows}``), in
-    one transaction, inferring schemas for new relations. Aborts
-    (restoring the storage database untouched) on any schema violation.
-    """
-    return storage.replace_contents(dict(desired), infer_schema)
-
-
 def flush_to_storage(universe, name, storage):
     """Make ``storage`` reflect the universe's state of database ``name``.
 
@@ -145,5 +137,5 @@ def flush_to_storage(universe, name, storage):
     inferred), and every surviving relation's contents replaced — all or
     nothing.
     """
-    flush_rows_to_storage(storage, universe_rows(universe, name))
+    storage.replace_contents(universe_rows(universe, name), infer_schema)
     return storage

@@ -132,21 +132,16 @@ def apply_change(rows, change):
     return rows
 
 
-def row_operations(change):
-    """How many rows ``change`` writes or deletes."""
-    return sum(len(rows)
-               for key in ("replace", "delete", "insert")
-               for rows in change.get(key, {}).values()
-               if rows is not None)
-
-
 def torn_change(change):
     """What a member without transactions holds of ``change`` when the
     write dies halfway: every relation-level step (a replaced relation
     is cleared, a dropped one dropped, and with ``full`` the rest
     dropped) and the first half of the row operations, in apply order
     (replaced relations' rows, then deletes, then inserts)."""
-    budget = row_operations(change) // 2
+    budget = sum(len(rows)
+                 for key in ("replace", "delete", "insert")
+                 for rows in change.get(key, {}).values()
+                 if rows is not None) // 2
     torn = MemberChange()
     if change.get("full"):
         torn["full"] = True

@@ -660,20 +660,16 @@ class Federation:
             # a member that was unreachable during recover() is rolled
             # forward through every pending update it still owes, not
             # left at the (pre-update) state the attach scan just
-            # pulled. A failed delivery leaves it stale (push) and owed;
-            # its later changes then only patch the snapshot, which the
-            # push resync delivers whole.
+            # pulled. A failed delivery leaves it stale (push) and owed.
             owing = [update for update in self.journal.pending()
                      if name in update.remaining]
             if owing:
                 with self.obs.span("federation.replay", member=name) as span:
                     for update in owing:
-                        change = update.desired[name]
-                        self._patch_member(name, change)
-                        if name not in self._stale:
-                            self._roll_forward(update.update_id,
-                                               {name: change}, span,
-                                               via="recover")
+                        owed = {name: update.desired[name]}
+                        self._patch_member(name, owed[name])
+                        self._roll_forward(update.update_id, owed, span,
+                                           via="recover")
         return self
 
     def _load_member(self, name, relations):
@@ -800,9 +796,8 @@ class Federation:
         state install scanned) has the change applied before delivery,
         so a member that fails its apply is stale (push), exactly as a
         failed flush leaves it, and the push resync that repairs it
-        delivers the state it owes; a member whose delivery failed
-        takes later changes in its snapshot only. A quarantined member
-        stays quarantined; its share replays when it re-attaches. A
+        delivers the state it owes. A quarantined member stays
+        quarantined; its share replays when it re-attaches. A
         pending update older than a later *committed* one is anomalous
         — replaying it would roll members backwards — and is aborted as
         superseded. Errors other than
@@ -828,7 +823,6 @@ class Federation:
             )
         journal = self.journal
         replayed = {}
-        undelivered = set()  # members with a failed delivery this pass
         with self.obs.span("federation.recover") as root:
             root.set("truncated_tails", journal.truncated_tails)
             pending = journal.pending()
@@ -846,14 +840,11 @@ class Federation:
                         root.event("skip-unknown-member",
                                    update_id=update.update_id, member=member)
                         continue
-                    change = update.desired[member]
+                    owed[member] = update.desired[member]
                     if member in self._attached:
-                        self._patch_member(member, change)
-                    if member not in undelivered:
-                        owed[member] = change
+                        self._patch_member(member, owed[member])
                 failures = self._roll_forward(update.update_id, owed, root,
                                               via="recover")
-                undelivered.update(failures)
                 for error in failures.values():
                     if not isinstance(error, MemberUnavailableError):
                         raise error
