@@ -136,6 +136,10 @@ class Explorer:
         self.parallel = parallel
         self.reached = set()
         self.runs = 0
+        # Schedules in which a failed apply still changed a member: a
+        # torn write landed. (Here each torn state equals another state
+        # of the sequence, so only this count shows they happen.)
+        self.torn_writes = 0
         self._first_process = {}
         connectors = self.fresh_connectors()
         self.sequence = [states_of(connectors)]
@@ -234,11 +238,17 @@ class Explorer:
             faulty[style].set_outage(True)
         if schedule.recover_crash is not None:
             crash.arm(schedule.recover_crash, torn=schedule.recover_torn)
+        before = states_of(connectors)
         fired = False
         try:
             federation.recover()
         except CrashPoint:
             fired = True
+        after = states_of(connectors)
+        if schedule.mode == TORN_WRITE and any(
+                before[style] != after[style]
+                for style in schedule.unreachable):
+            self.torn_writes += 1
         crash.disarm()  # the crash index counts recover()'s operations only
         self.check_sequence(schedule, "after recover()", connectors, buffer,
                             target)
@@ -353,7 +363,8 @@ class Explorer:
 def report(explorer, started):
     print(f"\ncrash explorer parallel={explorer.parallel!r}: "
           f"{explorer.runs} schedules, {len(explorer.reached)} distinct "
-          f"states, {time.perf_counter() - started:.2f} s")
+          f"states, {explorer.torn_writes} torn writes, "
+          f"{time.perf_counter() - started:.2f} s")
 
 
 @pytest.mark.parametrize("parallel", ["off", "on"])
@@ -366,6 +377,7 @@ def test_every_small_crash_schedule_recovers(parallel):
     explorer.explore_tier1()
     report(explorer, started)
     assert explorer.runs > 100
+    assert explorer.torn_writes > 0
 
 
 @pytest.mark.slow
