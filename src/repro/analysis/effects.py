@@ -44,9 +44,17 @@ See ``docs/static_analysis.md`` for the formal rules.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+
 from repro.core import ast
+from repro.core.evaluator import ORDER_CACHE_LIMIT
 from repro.core.rules import patterns_overlap
 from repro.core.terms import Const, Var
+
+#: Bound on :meth:`EffectAnalysis.query_footprint`'s per-statement memo
+#: (LRU), the same as the evaluator's per-context caches.
+FOOTPRINT_MEMO_LIMIT = ORDER_CACHE_LIMIT
 
 
 class EffectSet:
@@ -201,15 +209,20 @@ class EffectAnalysis:
     :class:`~repro.core.program.IdlProgram`.
 
     The analysis is purely static — nothing is evaluated — and cached
-    per update-program key; build one instance per program version
+    per update-program key and per query statement; build one instance
+    per program version
     (:meth:`repro.core.engine.IdlEngine.effect_analysis` does exactly
-    that).
+    that), so no cached result outlives the program it describes.
     """
 
     def __init__(self, program):
         self.program = program
         self._program_cache = {}  # (db, name, sign) -> (reads, writes)
         self._in_progress = set()
+        # id(statement) -> (statement, footprint), least recently used
+        # first; the statement is pinned so its id cannot be reused.
+        self._footprints = OrderedDict()
+        self._footprints_lock = threading.Lock()
 
     # -- program calls ------------------------------------------------------
 
@@ -340,8 +353,32 @@ class EffectAnalysis:
 
         ``reads`` is the :class:`EffectSet` closed through views — every
         base or derived pattern the answer can depend on; ``needed_rules``
-        is the (dependency-closed) rule subset that must be materialized.
+        is the (dependency-closed) rule subset that must be materialized
+        (shared between calls: do not mutate it).
+
+        Memoized per statement for the life of this analysis: keyed by
+        identity, with the statement pinned in the entry so a collected
+        statement's id cannot serve another one, and LRU-bounded at
+        :data:`FOOTPRINT_MEMO_LIMIT`. A repeated query text parses to
+        the same statement (:func:`repro.core.parser.parse_program`), so
+        it is analysed once per program version. Safe under concurrent
+        callers: a footprint is computed under the memo's lock.
         """
+        memo = self._footprints
+        key = id(statement)
+        with self._footprints_lock:
+            cached = memo.get(key)
+            if cached is not None and cached[0] is statement:
+                memo.move_to_end(key)
+                return cached[1]
+            footprint = self._query_footprint(statement)
+            memo[key] = (statement, footprint)
+            memo.move_to_end(key)
+            if len(memo) > FOOTPRINT_MEMO_LIMIT:
+                memo.popitem(last=False)
+        return footprint
+
+    def _query_footprint(self, statement):
         direct, _writes = self.expr_effects(statement.expr)
         needed = self.rules_needed(direct)
         closed = set(direct)

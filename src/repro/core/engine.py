@@ -555,15 +555,8 @@ class IdlEngine:
         return result
 
     def _render_answers(self, results):
-        return [
-            QueryAnswer(
-                {
-                    name: obj.to_python()
-                    for name, obj in sorted(substitution.as_dict().items())
-                }
-            )
-            for substitution in results
-        ]
+        return [QueryAnswer(answer_bindings(substitution))
+                for substitution in results]
 
     def _query_context(self):
         """With tracing on, a per-statement evaluation context that
@@ -658,10 +651,16 @@ class IdlEngine:
         """Convenience: call an update program with keyword arguments.
 
         ``engine.call("dbU", "insStk", stk="hp", date="3/5/85", price=70)``
-        is ``engine.update("?.dbU.insStk(.stk='hp', ...)")``.
+        is ``engine.update("?.dbU.insStk(.stk=A0, .date=A1, .price=A2)",
+        A0="hp", A1="3/5/85", A2=70)``: the values are bound as
+        parameters, not rendered into the text (see
+        :func:`call_request`), so every call of a program with the same
+        argument names shares one text and parses once. A value must be
+        a string or a number; anything else raises
+        :class:`~repro.errors.SemanticError`.
         """
-        items = ", ".join(f".{key}={_literal(value)}" for key, value in args.items())
-        return self.update(f"?.{db}.{program}({items})")
+        source, params = call_request(db, program, args)
+        return self.update(source, **params)
 
     # -- helpers ------------------------------------------------------------
 
@@ -682,13 +681,31 @@ class IdlEngine:
         )
 
 
-def _literal(value):
-    if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace("'", "\\'")
-        return f"'{escaped}'"
-    if isinstance(value, bool):
-        raise SemanticError("boolean literals are not part of IDL syntax")
-    if isinstance(value, (int, float)):
-        return repr(value)
-    raise SemanticError(f"cannot render {type(value).__name__} as an IDL literal")
+def answer_bindings(substitution):
+    """One answer's variable bindings as plain Python values, by name."""
+    return {name: obj.to_python()
+            for name, obj in sorted(substitution.as_dict().items())}
+
+
+def call_request(db, program, args):
+    """The request that calls ``.db.program`` with keyword ``args``.
+
+    Returns ``(source, params)``: one constant text per ``(db, program,
+    argument names)``, whose i-th argument is the variable ``Ai``, and
+    the parameters binding each ``Ai`` to its value — the call site's
+    terms are evaluated under those bindings. Only strings and numbers
+    are IDL literals: a bool, None or any other value raises
+    :class:`~repro.errors.SemanticError`.
+    """
+    items, params = [], {}
+    for index, (key, value) in enumerate(args.items()):
+        if isinstance(value, bool):
+            raise SemanticError("boolean literals are not part of IDL syntax")
+        if not isinstance(value, (str, int, float)):
+            raise SemanticError(
+                f"cannot render {type(value).__name__} as an IDL literal"
+            )
+        items.append(f".{key}=A{index}")
+        params[f"A{index}"] = value
+    return f"?.{db}.{program}({', '.join(items)})", params
 

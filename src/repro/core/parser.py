@@ -28,10 +28,22 @@ simplicity, stratification, binding signatures) happens in later passes.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+
 from repro.core import ast
 from repro.core import lexer as lx
+from repro.core.evaluator import ORDER_CACHE_LIMIT
 from repro.core.terms import Arith, Const, Var
 from repro.errors import ParseError
+
+#: Bound on the query memo of :func:`parse_program` (LRU), the same as
+#: the evaluator's per-context caches.
+QUERY_MEMO_LIMIT = ORDER_CACHE_LIMIT
+
+# Exact source text -> its one parsed Query, least recently used first.
+_query_memo = OrderedDict()
+_query_memo_lock = threading.Lock()
 
 _FACTOR_STARTS = frozenset((lx.NUMBER, lx.STRING, lx.IDENT, lx.VAR, lx.MINUS))
 
@@ -77,7 +89,35 @@ class _TokenStream:
 
 
 def parse_program(source):
-    """Parse IDL source into a list of Statements."""
+    """Parse IDL source into a list of Statements.
+
+    A source that parses to exactly one :class:`~repro.core.ast.Query`
+    (a query or an update request) is memoized by its exact text in a
+    process-wide LRU of :data:`QUERY_MEMO_LIMIT` entries, so a repeated
+    query is tokenized and parsed once: every call returns a new
+    one-element list holding the shared statement. AST nodes are never
+    mutated after construction, so sharing them is safe, and it lets
+    the evaluator's identity-keyed goal-order and probe-plan caches hit
+    across queries. Rule and clause text always parses fresh (SCC keys
+    use rule identity), and a source that fails to lex or parse is
+    never memoized, so it raises the same :class:`ParseError` each
+    time. The memo is safe under concurrent callers.
+    """
+    with _query_memo_lock:
+        statement = _query_memo.get(source)
+        if statement is not None:
+            _query_memo.move_to_end(source)
+            return [statement]
+    statements = _parse_statements(source)
+    if len(statements) == 1 and isinstance(statements[0], ast.Query):
+        with _query_memo_lock:
+            _query_memo[source] = statements[0]
+            if len(_query_memo) > QUERY_MEMO_LIMIT:
+                _query_memo.popitem(last=False)
+    return statements
+
+
+def _parse_statements(source):
     stream = _TokenStream(lx.tokenize(source))
     statements = []
     while not stream.at(lx.EOF):

@@ -20,6 +20,7 @@ honour them when it exposes a unified surface. This module provides:
 
 from __future__ import annotations
 
+from repro.core.engine import answer_bindings, call_request
 from repro.core.evaluator import answers, holds
 from repro.errors import AuthorizationError, SemanticError
 from repro.objects.tuple import TupleObject
@@ -151,10 +152,7 @@ class AuthorizedSession:
             raise SemanticError("this is an update request; use update()")
         view = self._readable_view()
         results = answers(statement, view, params or None, self.engine.eval_ctx)
-        return [
-            {name: obj.to_python() for name, obj in sorted(s.as_dict().items())}
-            for s in results
-        ]
+        return [answer_bindings(substitution) for substitution in results]
 
     def ask(self, source, **params):
         statement = self.engine._one_query(source)
@@ -193,12 +191,11 @@ class AuthorizedSession:
                                   **params)
 
     def call(self, db, program, **args):
-        from repro.core.engine import _literal
-
-        items = ", ".join(
-            f".{key}={_literal(value)}" for key, value in args.items()
-        )
-        return self.update(f"?.{db}.{program}({items})")
+        """Call an update program, checked like :meth:`update`; the
+        arguments are bound as in :meth:`IdlEngine.call
+        <repro.core.engine.IdlEngine.call>`."""
+        source, params = call_request(db, program, args)
+        return self.update(source, **params)
 
     def __repr__(self):
         return f"AuthorizedSession({self.principal!r})"

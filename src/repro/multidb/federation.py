@@ -40,6 +40,7 @@ See ``docs/observability.md``.
 from __future__ import annotations
 
 from repro.core.engine import IdlEngine
+from repro.core.evaluator import ORDER_CACHE_LIMIT
 from repro.errors import (
     CircuitOpenError,
     FederationError,
@@ -240,6 +241,9 @@ class Federation:
         self._prefetched = {}  # name -> scanned relations (or None), from validation
         self._prefetch_errors = {}  # name -> install-prefetch failure
         self._member_order = None  # cached sorted member names
+        # (reads, attached) -> (skipped, scanned): the member split of
+        # one pruning footprint, see _record_prune
+        self._prune_splits = {}
         self._installed = False
         self.last_validation = None  # DiagnosticReport of the last validate run
         # Live telemetry exposition (see repro.obs.server and
@@ -968,7 +972,8 @@ class Federation:
             self.telemetry = None
 
     def _check_available(self):
-        """Raise the most specific degradation error, if any."""
+        """Raise the most specific degradation error, if any; else
+        return the (all-available) AvailabilityReport."""
         report = self.availability()
         quarantined = sorted(
             e.member for e in report if e.status == QUARANTINED
@@ -995,6 +1000,7 @@ class Federation:
                 f'query with on_unavailable="partial")',
                 member=stale[0],
             )
+        return report
 
     # -- convenience -----------------------------------------------------------
 
@@ -1021,11 +1027,14 @@ class Federation:
         with self.obs.metrics.request() as request_metrics, self.obs.span(
             "federation.query", on_unavailable=on_unavailable
         ) as root:
-            if on_unavailable == "fail":
-                self._check_available()
+            # A query changes no member's availability: the strict
+            # mode's report stands for the answer too.
+            availability = (self._check_available()
+                            if on_unavailable == "fail" else None)
             answers = self.engine.query(source, **params)
             self._record_prune(self.engine.last_prune, root)
-            availability = self.availability()
+            if availability is None:
+                availability = self.availability()
             root.set("answers", len(answers))
             skipped = sorted(availability.unavailable | availability.stale)
             if skipped:
@@ -1038,14 +1047,8 @@ class Federation:
         leave a span event explaining the pruning decision."""
         if decision is None:
             return
-        attached = sorted(self._attached)
-        reads = decision.reads
-        if decision.applied and reads is not None:
-            skipped = [name for name in attached
-                       if not reads.touches_db(name)]
-        else:
-            skipped = []
-        scanned = sorted(set(attached).difference(skipped))
+        reads = decision.reads if decision.applied else None
+        skipped, scanned = self._member_split(reads)
         metrics = self.obs.metrics
         if skipped:
             metrics.counter("analysis.prune.skipped").inc(len(skipped))
@@ -1055,9 +1058,26 @@ class Federation:
             "member-pruning",
             reason=decision.reason,
             rules=f"{decision.rules_used}/{decision.rules_total}",
-            skipped=skipped,
-            scanned=scanned,
+            skipped=list(skipped),
+            scanned=list(scanned),
         )
+
+    def _member_split(self, reads):
+        """``(skipped, scanned)``: the attached members, sorted, that a
+        query reading ``reads`` (None: not pruned) provably skips and
+        the rest. Computed once per footprint and attached set."""
+        key = (reads, frozenset(self._attached))
+        split = self._prune_splits.get(key)
+        if split is None:
+            attached = sorted(self._attached)
+            skipped = () if reads is None else tuple(
+                name for name in attached if not reads.touches_db(name))
+            scanned = tuple(name for name in attached if name not in skipped)
+            split = (skipped, scanned)
+            if len(self._prune_splits) >= ORDER_CACHE_LIMIT:
+                self._prune_splits.clear()
+            self._prune_splits[key] = split
+        return split
 
     def _query_result(self, answers, availability, root, request_metrics):
         enabled = self.obs.enabled
