@@ -53,7 +53,7 @@ from repro.core.parser import parse_program
 from repro.core.pretty import to_source
 from repro.core.program import IdlProgram, analyze_clause, parse_call_shape
 from repro.core.rules import analyze_rule, patterns_overlap
-from repro.core.safety import order_conjuncts
+from repro.core.safety import goal_order
 from repro.core.stratify import stratify
 from repro.core.terms import Const, Var
 from repro.errors import (
@@ -236,7 +236,7 @@ class ProgramChecker:
     def _collect_query(self, statement, report):
         self.queries.append(statement)
         try:
-            order_conjuncts(ast.conjuncts_of(statement.expr), frozenset())
+            goal_order(statement.expr, frozenset())
         except SafetyError as exc:
             report.add(
                 "IDL001", str(exc), loc=statement.loc,

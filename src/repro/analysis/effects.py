@@ -48,13 +48,13 @@ import threading
 from collections import OrderedDict
 
 from repro.core import ast
-from repro.core.evaluator import ORDER_CACHE_LIMIT
+from repro.core.parser import QUERY_MEMO_LIMIT
 from repro.core.rules import patterns_overlap
 from repro.core.terms import Const, Var
 
 #: Bound on :meth:`EffectAnalysis.query_footprint`'s per-statement memo
-#: (LRU), the same as the evaluator's per-context caches.
-FOOTPRINT_MEMO_LIMIT = ORDER_CACHE_LIMIT
+#: (LRU), the same as the parser's query memo.
+FOOTPRINT_MEMO_LIMIT = QUERY_MEMO_LIMIT
 
 
 class EffectSet:

@@ -169,12 +169,17 @@ class TupleExpr(Expr):
     Conjuncts are typically :class:`AttrStep` items (the paper's
     ``.a1 exp1, .a2 exp2, ...``) and :class:`NegExpr` wrappers. A
     one-conjunct TupleExpr is semantically identical to its conjunct.
+
+    ``goal_orders`` memoizes the node's safe evaluation orders, filled
+    by :func:`repro.core.safety.goal_order`; it lives and dies with the
+    node and never participates in equality or hashing.
     """
 
-    __slots__ = ("conjuncts",)
+    __slots__ = ("conjuncts", "goal_orders")
 
     def __init__(self, conjuncts, loc=None):
         self.conjuncts = tuple(conjuncts)
+        self.goal_orders = {}
         if loc is None and self.conjuncts:
             loc = self.conjuncts[0].loc
         self.loc = loc
@@ -196,9 +201,13 @@ class TupleExpr(Expr):
 
 
 class SetExpr(Expr):
-    """``( exp )`` over a set object (or signed: ``+(exp)`` / ``-(exp)``)."""
+    """``( exp )`` over a set object (or signed: ``+(exp)`` / ``-(exp)``).
 
-    __slots__ = ("inner", "sign")
+    ``probe_plans`` memoizes the evaluator's index-probe analysis of
+    ``inner`` (None until first evaluated), like ``TupleExpr.goal_orders``.
+    """
+
+    __slots__ = ("inner", "sign", "probe_plans")
 
     def __init__(self, inner, sign=None, loc=None):
         if sign not in SIGNS:
@@ -206,6 +215,7 @@ class SetExpr(Expr):
         self.inner = inner
         self.sign = sign
         self.loc = loc
+        self.probe_plans = None
 
     def variables(self):
         return self.inner.variables()

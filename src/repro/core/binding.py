@@ -17,15 +17,14 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from repro.core import ast
-from repro.core.safety import order_conjuncts
+from repro.core.safety import goal_order
 from repro.errors import BindingError, SafetyError
 
 
 def body_executable(body, bound_params):
     """Is the clause body safely orderable with ``bound_params`` bound?"""
     try:
-        order_conjuncts(ast.conjuncts_of(body), frozenset(bound_params))
+        goal_order(body, bound_params)
         return True
     except SafetyError:
         return False

@@ -23,7 +23,7 @@ to a boolean.
 from __future__ import annotations
 
 from repro.core import ast
-from repro.core.safety import order_conjuncts
+from repro.core.safety import goal_order
 from repro.core.substitution import Substitution
 from repro.core.terms import NOT_A_NAME, Const, Var, evaluate_term, term_name
 from repro.errors import EvaluationError
@@ -31,17 +31,8 @@ from repro.objects.atom import Atom, compare_values
 from repro.objects.base import same_value
 from repro.objects.set import SetObject
 
-#: Bound on the per-context caches (safety orderings and probe plans).
-#: Long-lived engines and federations evaluate an unbounded stream of
-#: distinct (expression, domain) pairs — delta-rewritten rule variants
-#: are freshly allocated every materialization — so both caches evict
-#: their least-recently-used entry past this size.
-ORDER_CACHE_LIMIT = 1024
-PROBE_CACHE_LIMIT = 1024
-
-
 class EvalContext:
-    """Evaluation options and per-evaluation caches.
+    """Evaluation options and profile counters.
 
     ``reorder``     — apply safety goal reordering (default True; the B3
                       ablation turns it off for already-ordered programs).
@@ -58,14 +49,17 @@ class EvalContext:
                       its spans on; its metrics derive from those spans.
                       None (the default) opens no spans.
     ``metrics``     — optional :class:`repro.obs.metrics.MetricsRegistry`
-                      receiving the evaluator's counters (reorderings
-                      computed, index builds/hits/misses/fallbacks, cache
-                      evictions). Guarded by ``is not None`` everywhere it
-                      is touched.
+                      receiving the evaluator's counters (goal orders
+                      derived, index builds/hits/misses/fallbacks).
+                      Guarded by ``is not None`` everywhere it is touched.
+
+    A context holds no AST node: goal orders and probe plans are
+    memoized on the nodes themselves (``TupleExpr.goal_orders``,
+    ``SetExpr.probe_plans``), so every context, fresh or shared, reuses
+    them and threads may share one context.
     """
 
-    __slots__ = ("reorder", "use_indexes", "counters", "tracer", "metrics",
-                 "_order_cache", "_probe_cache")
+    __slots__ = ("reorder", "use_indexes", "counters", "tracer", "metrics")
 
     def __init__(self, reorder=True, profile=False, tracer=None,
                  metrics=None, use_indexes=True):
@@ -74,57 +68,21 @@ class EvalContext:
         self.counters = {} if profile else None
         self.tracer = tracer
         self.metrics = metrics
-        self._order_cache = {}
-        self._probe_cache = {}
 
     def count(self, kind):
         if self.counters is not None:
             self.counters[kind] = self.counters.get(kind, 0) + 1
 
     def ordered(self, expr, domain):
-        """Cached safety ordering of a TupleExpr for a binding domain.
-
-        Keyed by object identity for speed, but the expression itself is
-        pinned in the cache entry — otherwise a garbage-collected
-        expression's id could be reused by a different one and serve it a
-        stale ordering. The cache is LRU-bounded at
-        :data:`ORDER_CACHE_LIMIT` entries (pop-and-reinsert marks
-        recency) so long-lived contexts cannot grow without limit.
-        """
+        """The safety ordering of a TupleExpr for a binding domain (its
+        conjuncts as written when reordering is off); a node-memo miss
+        counts as one ``evaluator.reorder.applied``."""
         if not self.reorder:
             return expr.conjuncts
-        cache = self._order_cache
-        key = (id(expr), frozenset(domain))
-        cached = cache.pop(key, None)
-        if cached is not None and cached[0] is expr:
-            cache[key] = cached
-            return cached[1]
-        ordering = tuple(order_conjuncts(list(expr.conjuncts), domain))
-        cache[key] = (expr, ordering)
-        if self.metrics is not None:
+        bound = frozenset(domain)
+        if self.metrics is not None and bound not in expr.goal_orders:
             self.metrics.counter("evaluator.reorder.applied").inc()
-        if len(cache) > ORDER_CACHE_LIMIT:
-            cache.pop(next(iter(cache)))
-            if self.metrics is not None:
-                self.metrics.counter("evaluator.order_cache.evictions").inc()
-        return ordering
-
-    def probe_plans(self, expr):
-        """Cached pushdown analysis of a SetExpr (see
-        :func:`_analyze_probe_plans`); LRU-bounded like the order cache."""
-        cache = self._probe_cache
-        key = id(expr)
-        cached = cache.pop(key, None)
-        if cached is not None and cached[0] is expr:
-            cache[key] = cached
-            return cached[1]
-        plans = _analyze_probe_plans(expr.inner)
-        cache[key] = (expr, plans)
-        if len(cache) > PROBE_CACHE_LIMIT:
-            cache.pop(next(iter(cache)))
-            if self.metrics is not None:
-                self.metrics.counter("evaluator.probe_cache.evictions").inc()
-        return plans
+        return goal_order(expr, bound)
 
 
 _DEFAULT_CONTEXT = EvalContext()
@@ -360,7 +318,7 @@ def _analyze_probe_plans(inner):
 def _index_candidates(expr, obj, subst, context):
     """Resolve a set-expression probe, or None to fall back to the scan.
 
-    Tries each cached plan in order; the first one whose attribute name
+    Tries each memoized plan in order; the first one whose attribute name
     and compared value are ground under ``subst`` (and atomic) probes the
     set's hash index and returns the matching bucket plus the residual
     of unclassifiable elements. The index is a pure pre-filter — the
@@ -371,7 +329,9 @@ def _index_candidates(expr, obj, subst, context):
     if not isinstance(obj, SetObject):
         _count_index(context, _IDX_FALLBACKS)
         return None
-    plans = context.probe_plans(expr)
+    plans = expr.probe_plans
+    if plans is None:
+        plans = expr.probe_plans = _analyze_probe_plans(expr.inner)
     if not plans:
         _count_index(context, _IDX_FALLBACKS)
         return None

@@ -15,7 +15,7 @@ from repro.core import ast
 from repro.core.parser import parse_query
 from repro.core.pretty import to_source
 from repro.core.rules import body_references
-from repro.core.safety import order_conjuncts, produced_vars
+from repro.core.safety import goal_order, produced_vars
 from repro.core.terms import Var
 from repro.errors import SafetyError
 
@@ -111,10 +111,8 @@ def explain_query(source, bound=frozenset()):
     """Build an :class:`ExplainReport` for a query (source or Query)."""
     query = source if isinstance(source, ast.Query) else parse_query(source)
     expr = query.expr
-    conjuncts = ast.conjuncts_of(expr)
-
     try:
-        ordered = order_conjuncts(list(conjuncts), frozenset(bound))
+        ordered = goal_order(expr, bound)
         safe, safety_error = True, None
     except SafetyError as exc:
         ordered, safe, safety_error = [], False, str(exc)

@@ -33,13 +33,12 @@ from collections import OrderedDict
 
 from repro.core import ast
 from repro.core import lexer as lx
-from repro.core.evaluator import ORDER_CACHE_LIMIT
 from repro.core.terms import Arith, Const, Var
 from repro.errors import ParseError
 
-#: Bound on the query memo of :func:`parse_program` (LRU), the same as
-#: the evaluator's per-context caches.
-QUERY_MEMO_LIMIT = ORDER_CACHE_LIMIT
+#: Bound on the query memo of :func:`parse_program` (LRU); the other
+#: text- and statement-keyed memos derive their bounds from it.
+QUERY_MEMO_LIMIT = 1024
 
 # Exact source text -> its one parsed Query, least recently used first.
 _query_memo = OrderedDict()

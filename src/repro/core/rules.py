@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from repro.core import ast
 from repro.core.evaluator import satisfy
-from repro.core.safety import order_conjuncts
+from repro.core.safety import goal_order
 from repro.core.terms import Const, Var, term_name
 from repro.core.updates import build_object
 from repro.errors import SafetyError, SemanticError
@@ -98,7 +98,7 @@ def analyze_rule(rule, merge_on=()):
         )
     # The body must be safely evaluable from scratch.
     try:
-        order_conjuncts(ast.conjuncts_of(rule.body), frozenset())
+        goal_order(rule.body, frozenset())
     except SafetyError as exc:
         raise SafetyError(
             f"unsafe rule body in {_describe_rule(rule)}: {exc}"

@@ -85,7 +85,7 @@ def is_ready(expr, bound):
         return is_ready(expr.inner, bound)
     if isinstance(expr, ast.TupleExpr):
         try:
-            order_conjuncts(list(expr.conjuncts), bound)
+            goal_order(expr, bound)
             return True
         except SafetyError:
             return False
@@ -154,15 +154,45 @@ def selectivity_score(conjunct, bound):
     return (unbound, -constants)
 
 
-def order_conjuncts(conjuncts, bound, heuristic=True):
+def goal_order(expr, bound, query_items=False):
+    """The safe evaluation order of the TupleExpr ``expr``'s conjuncts
+    when exactly ``bound`` variables are bound, as a tuple (see
+    :func:`order_conjuncts`).
+
+    The node memoizes its orders in ``goal_orders``, keyed by the bound
+    set: an order depends only on the immutable node and that set, so
+    the memo lives and dies with the node and needs no lock (a racing
+    thread can only compute the same order again). A failed order is
+    stored as its message and raised as a fresh :class:`SafetyError`
+    each time. ``query_items=True`` orders only the conjuncts without
+    updates, under a key of its own.
+    """
+    bound = frozenset(bound)
+    key = ("query items", bound) if query_items else bound
+    order = expr.goal_orders.get(key)
+    if order is None:
+        conjuncts = expr.conjuncts
+        if query_items:
+            conjuncts = [c for c in conjuncts if not c.has_update()]
+        try:
+            order = tuple(order_conjuncts(conjuncts, bound))
+        except SafetyError as exc:
+            order = str(exc)
+        expr.goal_orders[key] = order
+    if isinstance(order, str):
+        raise SafetyError(order)
+    return order
+
+
+def order_conjuncts(conjuncts, bound):
     """Reorder ``conjuncts`` so each is ready when reached.
 
     Returns the reordered list. Pure-query conjuncts may move freely
     within their run; update conjuncts stay in place and bound queries to
     their side of the barrier. Among ready conjuncts, the selectivity
-    heuristic picks the most constrained first (``heuristic=False``
-    keeps document order among ready conjuncts). Raises
-    :class:`SafetyError` when no safe order exists.
+    heuristic picks the most constrained first. Raises
+    :class:`SafetyError` when no safe order exists. Callers go through
+    the memoized :func:`goal_order`.
     """
     ordered = []
     bound = set(bound)
@@ -184,16 +214,10 @@ def order_conjuncts(conjuncts, bound, heuristic=True):
                     + "; blocked conjunct(s): "
                     + "; ".join(describe_conjunct(c) for c in pending)
                 )
-            if heuristic and len(eligible) > 1:
-                chosen = min(
-                    range(len(eligible)),
-                    key=lambda position: selectivity_score(
-                        eligible[position][1], bound
-                    ),
-                )
-            else:
-                chosen = 0
-            conjunct = pending.pop(eligible[chosen][0])
+            index, conjunct = min(
+                eligible, key=lambda pair: selectivity_score(pair[1], bound)
+            )
+            del pending[index]
             ordered.append(conjunct)
             bound.update(produced_vars(conjunct))
 
@@ -249,7 +273,7 @@ def _unbound_of(pending, bound):
 
 def check_query_safe(expr, bound=frozenset()):
     """Validate a whole query conjunction; raises SafetyError if unsafe."""
-    order_conjuncts(ast.conjuncts_of(expr), frozenset(bound))
+    goal_order(expr, bound)
 
 
 def contains_update(expr):

@@ -24,7 +24,7 @@ Ordering rules (the paper makes update order significant):
 
 * at the **request level**, conjuncts evaluate left-to-right; update
   conjuncts are barriers (only pure-query runs between them may be
-  safety-reordered) — handled by ``safety.order_conjuncts``;
+  safety-reordered) — handled by ``safety.goal_order``;
 * **within a tuple expression that selects one object** (typically a set
   element), query items run first (selection), then update items in
   their original order — mirroring the paper's delStk clause
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from repro.core import ast
 from repro.core.evaluator import EvalContext, _as_substitution, _satisfy
-from repro.core.safety import order_conjuncts
+from repro.core.safety import goal_order
 from repro.core.terms import NOT_A_NAME, Const, Var, evaluate_term, term_name
 from repro.errors import UpdateError
 from repro.objects.atom import Atom
@@ -325,7 +325,7 @@ def apply_request(request, universe, bindings=None, eval_ctx=None):
     subst = _as_substitution(bindings)
     uctx = _UpdateContext(eval_ctx)
 
-    conjuncts = order_conjuncts(list(expr.conjuncts), subst.domain())
+    conjuncts = goal_order(expr, subst.domain())
     substitutions = [subst]
     for conjunct in conjuncts:
         next_substitutions = []
@@ -428,7 +428,7 @@ def _update_tuple_expr(expr, obj, subst, uctx, path=()):
     """Query items first (selection), then update items in order."""
     query_items = [c for c in expr.conjuncts if not c.has_update()]
     update_items = [c for c in expr.conjuncts if c.has_update()]
-    ordered_queries = order_conjuncts(query_items, subst.domain()) if query_items else []
+    ordered_queries = goal_order(expr, subst.domain(), query_items=True)
 
     # The exclusion rule: attribute names fixed by sibling query items.
     excluded = set()

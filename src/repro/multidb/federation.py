@@ -40,7 +40,7 @@ See ``docs/observability.md``.
 from __future__ import annotations
 
 from repro.core.engine import IdlEngine
-from repro.core.evaluator import ORDER_CACHE_LIMIT
+from repro.core.parser import QUERY_MEMO_LIMIT
 from repro.errors import (
     CircuitOpenError,
     FederationError,
@@ -1074,7 +1074,7 @@ class Federation:
                 name for name in attached if not reads.touches_db(name))
             scanned = tuple(name for name in attached if name not in skipped)
             split = (skipped, scanned)
-            if len(self._prune_splits) >= ORDER_CACHE_LIMIT:
+            if len(self._prune_splits) >= QUERY_MEMO_LIMIT:
                 self._prune_splits.clear()
             self._prune_splits[key] = split
         return split

@@ -9,18 +9,25 @@ freshly scanned evaluation.
 
 from __future__ import annotations
 
+import gc
 import io
+import traceback
 
 import pytest
 
 from repro import IdlEngine
-from repro.core import evaluator
+from repro.core import ast, safety
+from repro.core.binding import body_executable
 from repro.core.evaluator import EvalContext, answers, holds
-from repro.core.parser import parse_query
+from repro.core.parser import parse_query, parse_update_clause
+from repro.errors import SafetyError
 from repro.objects import Universe, from_python
 from repro.objects.atom import Atom
 from repro.objects.set import SetObject
 from repro.objects.tuple import TupleObject
+from repro.workloads.stocks import paper_universe
+from tests.conftest import UNIFIED_VIEW_RULES, UPDATE_PROGRAMS
+from tests.test_query_memo import canon, fresh, hammer
 
 ROWS = [
     {"date": "3/3/85", "stkCode": "hp", "clsPrice": 50},
@@ -342,53 +349,105 @@ class TestInvalidation:
         assert len(indexed) == 6
 
 
-# -- bounded caches -----------------------------------------------------------
+# -- node memos ---------------------------------------------------------------
 
 
-class TestBoundedCaches:
-    def test_order_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(evaluator, "ORDER_CACHE_LIMIT", 4)
-        from repro.obs.metrics import MetricsRegistry
+def counting_orders(monkeypatch):
+    """Record every goal order derived (each ``order_conjuncts`` call)."""
+    calls = []
+    real = safety.order_conjuncts
 
-        metrics = MetricsRegistry()
-        context = EvalContext(metrics=metrics)
-        universe = small_universe()
-        for day in range(20):
-            query = parse_query(
-                f"?.euter.r(.date=3/{day}/85, .stkCode=S), "
-                f".euter.r(.stkCode=S, .clsPrice=P)"
-            )
-            answers(query, universe, None, context)
-        assert len(context._order_cache) <= 4
-        assert metrics.counter_value("evaluator.order_cache.evictions") > 0
+    def counting(conjuncts, bound):
+        calls.append(tuple(conjuncts))
+        return real(conjuncts, bound)
 
-    def test_probe_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(evaluator, "PROBE_CACHE_LIMIT", 4)
-        context = EvalContext()
-        universe = small_universe()
-        for day in range(20):
-            query = parse_query(f"?.euter.r(.date=3/{day % 9 + 1}/85)")
-            answers(query, universe, None, context)
-        assert len(context._probe_cache) <= 4
+    monkeypatch.setattr(safety, "order_conjuncts", counting)
+    return calls
 
-    def test_lru_keeps_recent_entries(self, monkeypatch):
-        monkeypatch.setattr(evaluator, "PROBE_CACHE_LIMIT", 2)
-        context = EvalContext()
-        universe = small_universe()
-        hot = parse_query("?.euter.r(.date=3/3/85)")
-        answers(hot, universe, None, context)
-        for day in range(5):
-            answers(hot, universe, None, context)  # refresh the hot entry
-            cold = parse_query(f"?.euter.r(.date=4/{day + 1}/85)")
-            answers(cold, universe, None, context)
-        from repro.core import ast
 
-        node = hot.expr
-        while not isinstance(node, ast.SetExpr):  # descend to .euter.r(...)
-            node = node.conjuncts[0] if isinstance(node, ast.TupleExpr) else node.expr
-        assert any(
-            entry[0] is node for entry in context._probe_cache.values()
+class TestNodeMemos:
+    def test_repeated_statement_derives_no_goal_order(self, monkeypatch):
+        calls = counting_orders(monkeypatch)
+        query = fresh(
+            "?.euter.r(.date=3/3/85, .stkCode=S), .euter.r(.stkCode=S, .clsPrice=P)"
         )
+        universe = small_universe()
+        first = answers(query, universe, None, EvalContext())
+        assert calls
+        calls.clear()
+        assert answers(query, universe, None, EvalContext()) == first
+        assert calls == []
+
+    def test_repeated_call_derives_no_goal_order(self, monkeypatch):
+        calls = counting_orders(monkeypatch)
+        engine = IdlEngine(universe=paper_universe())
+        engine.universe.add_database("dbU")
+        engine.define(UNIFIED_VIEW_RULES)
+        engine.define_update(UPDATE_PROGRAMS)
+        engine.materialized_view()
+        engine.call("dbU", "insStk", stk="sun", date="3/5/85", price=30)
+        assert calls
+        calls.clear()
+        engine.call("dbU", "insStk", stk="sun", date="3/5/85", price=30)
+        assert calls == []
+
+    def test_failed_order_is_memoized_and_raised_fresh(self, monkeypatch):
+        calls = counting_orders(monkeypatch)
+        body = parse_update_clause(
+            ".dbU.insStk(.stk=S, .date=D, .price=P) -> "
+            ".euter.r+(.date=D, .stkCode=S, .clsPrice=P)"
+        ).body
+        assert [body_executable(body, {"S", "D"}) for _ in range(3)] == [False] * 3
+        raised = []
+        for _ in range(3):
+            with pytest.raises(SafetyError) as failure:
+                safety.goal_order(body, {"S", "D"})
+            raised.append((str(failure.value),
+                           len(traceback.extract_tb(failure.value.__traceback__))))
+        assert len(set(raised)) == 1
+        assert "not ground" in raised[0][0]
+        assert len(calls) == 1
+
+    def test_context_references_no_ast_node(self):
+        context = EvalContext(profile=True)
+        universe = small_universe()
+        for day in range(5):
+            query = parse_query(f"?.euter.r(.date=3/{day}/85, .stkCode=S)")
+            answers(query, universe, None, context)
+        assert context.counters["visits"] > 0
+        pending, reached = gc.get_referents(context), []
+        while pending:  # everything the context holds, through containers
+            obj = pending.pop()
+            reached.append(obj)
+            if isinstance(obj, (dict, tuple, list, set, frozenset)):
+                pending.extend(gc.get_referents(obj))
+        assert not any(isinstance(obj, (ast.Expr, ast.Statement))
+                       for obj in reached)
+
+
+@pytest.mark.concurrency
+def test_threads_sharing_one_engine_past_the_memo_bounds():
+    """Four threads query one engine with ~3000 distinct texts, well
+    past every memo's bound, interleaved with repeats of a few hot
+    texts. No thread may raise, and every answer must equal a serial
+    run's."""
+    engine = IdlEngine(universe=paper_universe())
+    texts = [f"?.euter.r(.stkCode=S, .clsPrice=P), P > {n}" for n in range(3000)]
+    answered = {}
+
+    def work(offset, i):
+        if i % 2:
+            text = texts[i % 16]
+        else:
+            text = texts[offset + 2 * i]
+        answered.setdefault(text, []).append(canon(engine.query(text)))
+
+    assert hammer(4, len(texts) // 4 * 2, work) == []
+    assert len(answered) == len(texts)
+    serial = IdlEngine(universe=paper_universe())
+    for text in texts:
+        expected = canon(serial.query(text))
+        assert all(seen == expected for seen in answered[text]), text
 
 
 # -- observability ------------------------------------------------------------

@@ -19,7 +19,7 @@ import pytest
 from repro import IdlEngine
 from repro.analysis import effects
 from repro.core import lexer, parser
-from repro.core.evaluator import ORDER_CACHE_LIMIT
+from repro.core.parser import QUERY_MEMO_LIMIT
 from repro.errors import ParseError, SemanticError
 from repro.multidb import (
     AccessPolicy,
@@ -122,7 +122,7 @@ class TestParseMemo:
         assert text not in parser._query_memo
 
     def test_memo_stays_within_its_bound(self, monkeypatch, tokenized):
-        assert parser.QUERY_MEMO_LIMIT == ORDER_CACHE_LIMIT
+        assert parser.QUERY_MEMO_LIMIT == QUERY_MEMO_LIMIT == 1024
         monkeypatch.setattr(parser, "QUERY_MEMO_LIMIT", 4)
         engine = unified_engine(prune=False)
         texts = [f"?.euter.r(.stkCode=S, .clsPrice=P), P > {n}"
@@ -146,7 +146,7 @@ class TestFootprintMemo:
             analysis.query_footprint(statement)
 
     def test_memo_stays_within_its_bound(self, monkeypatch):
-        assert effects.FOOTPRINT_MEMO_LIMIT == ORDER_CACHE_LIMIT
+        assert effects.FOOTPRINT_MEMO_LIMIT == QUERY_MEMO_LIMIT
         monkeypatch.setattr(effects, "FOOTPRINT_MEMO_LIMIT", 3)
         engine = unified_engine(prune=True)
         for n in range(8):

@@ -132,8 +132,6 @@ class TestOrdering:
         cs = conjuncts("?.a.r(.x=X), .a.r(.x=X, .k=1, .m=2)")
         ordered = order_conjuncts(cs, frozenset())
         assert ordered[0] is cs[1]
-        in_order = order_conjuncts(cs, frozenset(), heuristic=False)
-        assert in_order[0] is cs[0]
 
     def test_selectivity_never_breaks_safety(self):
         cs = conjuncts("?.a.r(.x>P, .k=1), .b.s(.y=P)")
