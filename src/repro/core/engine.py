@@ -100,14 +100,13 @@ class IdlEngine:
 
     ``obs`` optionally attaches a :class:`repro.obs.Observability`:
     queries, updates and view maintenance then run inside spans
-    (federation → engine → fixpoint strata). The engine counts its work
-    only on those spans, and its metrics (``fixpoint.iterations``, ...)
-    are derived from them with tracing on or off (see
-    :data:`repro.obs.metrics.SPAN_METRICS`). With tracing on, queries
-    also collect node-visit counters. With ``obs=None`` (the default) the
-    engine takes the exact pre-observability query path — benchmark B3
-    asserts a disabled :class:`~repro.obs.Observability` costs within 5%
-    of it.
+    (federation → engine → fixpoint strata). The engine and evaluator
+    count their work on those spans, never per probe, and their metrics
+    (``fixpoint.iterations``, ``evaluator.index.hits``, ...) derive from
+    them with tracing on or off (:data:`repro.obs.metrics.SPAN_METRICS`):
+    benchmark B3 asserts a disabled :class:`~repro.obs.Observability`
+    costs within 5% of ``obs=None`` (the default). With tracing on,
+    queries also collect node-visit counters.
 
     With ``prune`` True (the federation turns it on by default),
     queries are first run through the static effect analysis
@@ -167,7 +166,6 @@ class IdlEngine:
         shares its own with the engine so spans nest in one trace)."""
         self.obs = obs
         self._tracer = self.eval_ctx.tracer = obs.tracer
-        self.eval_ctx.metrics = obs.metrics
         return self
 
     # -- data management -----------------------------------------------------
@@ -315,6 +313,7 @@ class IdlEngine:
         view = self._live_view()
         methods = {"counting": 0, "dred": 0}
         dropped = []
+        context = self._context()
         with self._tracer.span("fixpoint.maintain") as span:
             for key, overlay in self._sccs.items():
                 if dirty_ids.isdisjoint(key):
@@ -343,7 +342,7 @@ class IdlEngine:
                     try:
                         added, removed = fixpoint.maintain_stratum(
                             stratum, variants, view, overlay, insert_delta,
-                            delete_delta, counts, stats, self.eval_ctx,
+                            delete_delta, counts, stats, context,
                         )
                     except fixpoint.MaintenanceAborted as aborted:
                         # The overlay is partially mutated: unusable.
@@ -376,6 +375,7 @@ class IdlEngine:
             span.set("seeded", seeded)
             span.set("overdeleted", stats.maintain_overdeleted)
             span.set("rederived", stats.maintain_rederived)
+            context.report(span)
         self._stats.add(stats)
         self._drop(dropped)
 
@@ -405,7 +405,7 @@ class IdlEngine:
             rules,
             self.universe,
             method=self.fixpoint_method,
-            context=self.eval_ctx,
+            context=self._context(),
             reuse=self._sccs,
         )
         for key, stratum, overlay in strata:
@@ -518,56 +518,52 @@ class IdlEngine:
         ``engine.query``/``engine.evaluate`` spans; with tracing on, the
         profiling counters land on the ``engine.evaluate`` span.
         """
-        statement = self._one_query(source)
-        if statement.is_update_request:
-            raise SemanticError(
-                "this is an update request; use IdlEngine.update()"
-            )
-        if self.obs is None:
-            view = self._view_for(statement)
-            results = answers(statement, view, params or None, self.eval_ctx)
-            return self._render_answers(results)
-        obs = self.obs
-        with obs.span("engine.query") as span:
-            view = self._view_for(statement)
-            context = self._query_context()
-            with obs.span("engine.evaluate") as evaluate_span:
-                results = answers(statement, view, params or None, context)
-                evaluate_span.set("answers", len(results))
-                if context.counters is not None:
-                    evaluate_span.set("counters", dict(context.counters))
-            span.set("answers", len(results))
-        return self._render_answers(results)
-
-    def ask(self, source, **params):
-        """Boolean query: is the expression satisfiable?"""
-        statement = self._one_query(source)
-        if statement.is_update_request:
-            raise SemanticError("this is an update request; use IdlEngine.update()")
-        if self.obs is None:
-            return holds(statement, self._view_for(statement), params or None,
-                         self.eval_ctx)
-        with self.obs.span("engine.ask") as span:
-            view = self._view_for(statement)
-            result = holds(statement, view, params or None,
-                           self._query_context())
-            span.set("satisfiable", result)
-        return result
-
-    def _render_answers(self, results):
+        results = self._answers(source, params, self._view_for)
         return [QueryAnswer(answer_bindings(substitution))
                 for substitution in results]
 
-    def _query_context(self):
-        """With tracing on, a per-statement evaluation context that
-        collects node-visit counters while sharing the engine tracer
-        and metrics; with tracing off, the shared ``eval_ctx``."""
-        shared = self.eval_ctx
-        if not shared.tracer.enabled:
-            return shared
-        return EvalContext(reorder=shared.reorder, profile=True,
-                           tracer=shared.tracer, metrics=shared.metrics,
-                           use_indexes=shared.use_indexes)
+    def ask(self, source, **params):
+        """Boolean query: is the expression satisfiable?"""
+        return self._holds(source, params, self._view_for)
+
+    def _read_request(self, source):
+        statement = self._one_query(source)
+        if statement.is_update_request:
+            raise SemanticError("this is an update request; use update()")
+        return statement
+
+    def _answers(self, source, params, view_of):
+        """Evaluate a query over ``view_of(statement)`` in an
+        ``engine.query`` span (authorized sessions read through here)."""
+        statement = self._read_request(source)
+        context = self._context(profile=self._tracer.enabled)
+        with self._tracer.span("engine.query") as span:
+            view = view_of(statement)
+            with self._tracer.span("engine.evaluate") as evaluate_span:
+                results = answers(statement, view, params or None, context)
+                evaluate_span.set("answers", len(results))
+                if context.node_counts is not None:
+                    evaluate_span.set("counters", context.counters)
+            span.set("answers", len(results))
+            context.report(span)
+        return results
+
+    def _holds(self, source, params, view_of):
+        """Like :meth:`_answers`, for a boolean query (``engine.ask``)."""
+        statement = self._read_request(source)
+        context = self._context()
+        with self._tracer.span("engine.ask") as span:
+            result = holds(statement, view_of(statement), params or None,
+                           context)
+            span.set("satisfiable", result)
+            context.report(span)
+        return result
+
+    def _context(self, profile=False):
+        """A fresh evaluation context with the engine's options."""
+        options = self.eval_ctx
+        return EvalContext(options.reorder, profile, options.tracer,
+                           options.use_indexes)
 
     # -- updates ------------------------------------------------------------
 
@@ -597,9 +593,10 @@ class IdlEngine:
         """
         from repro.core.updates import UpdateContext, reindex_touched
 
-        statement = self._one_query(source, allow_update=True)
-        executor = UpdateExecutor(self.program, self.universe, self.eval_ctx)
-        uctx = UpdateContext(self.eval_ctx)
+        statement = self._one_query(source)
+        context = self._context()
+        executor = UpdateExecutor(self.program, self.universe, context)
+        uctx = UpdateContext(context)
         with self._tracer.span("engine.update") as span:
             try:
                 result = executor.execute_request(statement, params or None,
@@ -620,6 +617,7 @@ class IdlEngine:
             span.set("deleted", result.deleted)
             span.set("modified", result.modified)
             span.set("touched", sorted(".".join(p) for p in result.touched))
+            context.report(span)
         if result.changed:
             self._selective_invalidate(result.delta)
         return result
@@ -664,14 +662,13 @@ class IdlEngine:
 
     # -- helpers ------------------------------------------------------------
 
-    def _one_query(self, source, allow_update=False):
+    def _one_query(self, source):
         if isinstance(source, ast.Query):
             return source
         statements = parse_program(source)
         if len(statements) != 1 or not isinstance(statements[0], ast.Query):
             raise SemanticError("expected a single '?' statement")
-        statement = statements[0]
-        return statement
+        return statements[0]
 
     def __repr__(self):
         return (

@@ -32,7 +32,7 @@ from repro.objects.base import same_value
 from repro.objects.set import SetObject
 
 class EvalContext:
-    """Evaluation options and profile counters.
+    """Evaluation options and the work counts of one evaluation.
 
     ``reorder``     — apply safety goal reordering (default True; the B3
                       ablation turns it off for already-ordered programs).
@@ -40,52 +40,71 @@ class EvalContext:
                       carries a ground ``=`` selection on a known
                       attribute (default True; the B13 ablation turns it
                       off to measure the scan baseline).
-    ``profile``     — collect node-visit counters into ``self.counters``
-                      (off by default: it costs in the hot path). The
-                      engine turns it on when tracing is on and folds
-                      the counters into the ``engine.evaluate`` span, so
-                      they reach callers on the result objects.
+    ``profile``     — also count node visits into :attr:`counters` (off
+                      by default: it costs in the hot path). The engine
+                      turns it on when tracing is on and puts them on
+                      the ``engine.evaluate`` span.
     ``tracer``      — optional tracer (enabled or not) the fixpoint opens
-                      its spans on; its metrics derive from those spans.
-                      None (the default) opens no spans.
-    ``metrics``     — optional :class:`repro.obs.metrics.MetricsRegistry`
-                      receiving the evaluator's counters (goal orders
-                      derived, index builds/hits/misses/fallbacks).
-                      Guarded by ``is not None`` everywhere it is touched.
+                      its spans on. None (the default) opens no spans.
 
-    A context holds no AST node: goal orders and probe plans are
-    memoized on the nodes themselves (``TupleExpr.goal_orders``,
-    ``SetExpr.probe_plans``), so every context, fresh or shared, reuses
-    them and threads may share one context.
+    Index builds, hits and fallbacks and goal orders derived are always
+    counted, in plain ints. The engine gives each request its own
+    context and puts them on the span that owns the request
+    (:meth:`report`), so threads sharing an engine never share counts.
+    Goal orders and probe plans are memoized on the AST nodes.
     """
 
-    __slots__ = ("reorder", "use_indexes", "counters", "tracer", "metrics")
+    __slots__ = ("reorder", "use_indexes", "tracer", "node_counts",
+                 "index_builds", "index_hits", "index_fallbacks", "reorders")
 
     def __init__(self, reorder=True, profile=False, tracer=None,
-                 metrics=None, use_indexes=True):
+                 use_indexes=True):
         self.reorder = reorder
         self.use_indexes = use_indexes
-        self.counters = {} if profile else None
         self.tracer = tracer
-        self.metrics = metrics
+        self.node_counts = {} if profile else None
+        self.index_builds = self.index_hits = self.index_fallbacks = 0
+        self.reorders = 0
 
     def count(self, kind):
-        if self.counters is not None:
-            self.counters[kind] = self.counters.get(kind, 0) + 1
+        if self.node_counts is not None:
+            self.node_counts[kind] = self.node_counts.get(kind, 0) + 1
+
+    def index_counts(self):
+        """The nonzero ``index.*`` counts (every miss builds the index,
+        so misses equal builds)."""
+        counts = (("index.builds", self.index_builds),
+                  ("index.hits", self.index_hits),
+                  ("index.misses", self.index_builds),
+                  ("index.fallbacks", self.index_fallbacks))
+        return {key: value for key, value in counts if value}
+
+    def report(self, span):
+        """Put the nonzero work counts on ``span`` as the attributes
+        ``SPAN_METRICS`` sums into ``evaluator.*``."""
+        for key, value in self.index_counts().items():
+            span.set(key, value)
+        if self.reorders:
+            span.set("reorder.applied", self.reorders)
+
+    @property
+    def counters(self):
+        """The node-visit counts plus :meth:`index_counts`, or None with
+        ``profile`` off."""
+        if self.node_counts is None:
+            return None
+        return {**self.node_counts, **self.index_counts()}
 
     def ordered(self, expr, domain):
         """The safety ordering of a TupleExpr for a binding domain (its
         conjuncts as written when reordering is off); a node-memo miss
-        counts as one ``evaluator.reorder.applied``."""
+        counts as one ``reorder.applied``."""
         if not self.reorder:
             return expr.conjuncts
         bound = frozenset(domain)
-        if self.metrics is not None and bound not in expr.goal_orders:
-            self.metrics.counter("evaluator.reorder.applied").inc()
+        if bound not in expr.goal_orders:
+            self.reorders += 1
         return goal_order(expr, bound)
-
-
-_DEFAULT_CONTEXT = EvalContext()
 
 
 def satisfy(expr, obj, subst=None, context=None):
@@ -94,7 +113,7 @@ def satisfy(expr, obj, subst=None, context=None):
     if subst is None:
         subst = Substitution.empty()
     if context is None:
-        context = _DEFAULT_CONTEXT
+        context = EvalContext()
     if expr.has_update():
         raise EvaluationError(
             "update expression evaluated in a query context; use the "
@@ -104,7 +123,7 @@ def satisfy(expr, obj, subst=None, context=None):
 
 
 def _satisfy(expr, obj, subst, context):
-    if context.counters is not None:
+    if context.node_counts is not None:
         context.count("visits")
         context.count(type(expr).__name__)
 
@@ -251,21 +270,6 @@ def _satisfy_constraint(expr, subst):
 # Selection pushdown (per-set hash indexes)
 # ---------------------------------------------------------------------------
 
-# (profile counter key, metrics counter name) pairs, precomputed so the
-# hot path never concatenates strings.
-_IDX_BUILDS = ("index.builds", "evaluator.index.builds")
-_IDX_HITS = ("index.hits", "evaluator.index.hits")
-_IDX_MISSES = ("index.misses", "evaluator.index.misses")
-_IDX_FALLBACKS = ("index.fallbacks", "evaluator.index.fallbacks")
-
-
-def _count_index(context, pair):
-    if context.counters is not None:
-        context.count(pair[0])
-    if context.metrics is not None:
-        context.metrics.counter(pair[1]).inc()
-
-
 def _analyze_probe_plans(inner):
     """The static half of pushdown: which conjuncts of a set expression's
     inner expression could drive an index probe?
@@ -327,13 +331,13 @@ def _index_candidates(expr, obj, subst, context):
     selection.
     """
     if not isinstance(obj, SetObject):
-        _count_index(context, _IDX_FALLBACKS)
+        context.index_fallbacks += 1
         return None
     plans = expr.probe_plans
     if plans is None:
         plans = expr.probe_plans = _analyze_probe_plans(expr.inner)
     if not plans:
-        _count_index(context, _IDX_FALLBACKS)
+        context.index_fallbacks += 1
         return None
     for attr_term, attr_name, value_term, const_key in plans:
         if attr_name is None:
@@ -353,12 +357,11 @@ def _index_candidates(expr, obj, subst, context):
         index = obj.peek_index(name)
         if index is None:
             index = obj.index_on(name)
-            _count_index(context, _IDX_MISSES)
-            _count_index(context, _IDX_BUILDS)
+            context.index_builds += 1
         else:
-            _count_index(context, _IDX_HITS)
+            context.index_hits += 1
         return index.candidates(key)
-    _count_index(context, _IDX_FALLBACKS)
+    context.index_fallbacks += 1
     return None
 
 

@@ -104,7 +104,7 @@ def profile_query(source, universe, bindings=None):
     query = source if isinstance(source, ast.Query) else parse_query(source)
     context = EvalContext(profile=True)
     results = evaluate(query, universe, bindings, context)
-    return results, dict(context.counters)
+    return results, context.counters
 
 
 def explain_query(source, bound=frozenset()):

@@ -156,6 +156,8 @@ def materialize_strata(analyzed_rules, universe, method="seminaive",
         outer.set("firings", stats.rule_firings)
         outer.set("derivations", stats.derivations)
         outer.set("reused_strata", stats.reused_strata)
+        if context is not None:
+            context.report(outer)
     return overlays, stats
 
 

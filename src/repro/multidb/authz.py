@@ -21,8 +21,7 @@ honour them when it exposes a unified surface. This module provides:
 from __future__ import annotations
 
 from repro.core.engine import answer_bindings, call_request
-from repro.core.evaluator import answers, holds
-from repro.errors import AuthorizationError, SemanticError
+from repro.errors import AuthorizationError
 from repro.objects.tuple import TupleObject
 
 READ = "read"
@@ -140,26 +139,22 @@ class AuthorizedSession:
 
     # -- reads ------------------------------------------------------------
 
-    def _readable_view(self):
+    def _readable_view(self, statement=None):
         return restrict_view(
             self.engine.materialized_view(),
             lambda db, rel: self.policy.can(self.principal, READ, db, rel),
         )
 
     def query(self, source, **params):
-        statement = self.engine._one_query(source)
-        if statement.is_update_request:
-            raise SemanticError("this is an update request; use update()")
-        view = self._readable_view()
-        results = answers(statement, view, params or None, self.engine.eval_ctx)
+        """Answer a query over the readable view (an ``engine.query``
+        span)."""
+        results = self.engine._answers(source, params, self._readable_view)
         return [answer_bindings(substitution) for substitution in results]
 
     def ask(self, source, **params):
-        statement = self.engine._one_query(source)
-        return holds(
-            statement, self._readable_view(), params or None,
-            self.engine.eval_ctx,
-        )
+        """Is the query satisfiable over the readable view? (An
+        ``engine.ask`` span.)"""
+        return self.engine._holds(source, params, self._readable_view)
 
     # -- writes ------------------------------------------------------------
 

@@ -1135,7 +1135,7 @@ class Federation:
         """The :class:`~repro.analysis.effects.Effects` of an update
         request — what :meth:`update` would read and write, without
         executing anything (REPL ``:footprint`` uses this)."""
-        statement = self.engine._one_query(source, allow_update=True)
+        statement = self.engine._one_query(source)
         return self.engine.effect_analysis().request_footprint(statement)
 
     def _flush_if_changed(self, engine_result, root, origin="update"):

@@ -14,7 +14,7 @@ This package makes that pipeline inspectable end to end:
   ``circuit.state_changes``, ``evaluator.reorder.applied``, ...), each
   backed by a sliding window (:mod:`repro.obs.window`) for per-window
   rates and latency percentiles, plus per-request delta accumulators;
-  ``SPAN_METRICS`` derives the engine's and fixpoint's from spans.
+  ``SPAN_METRICS`` derives engine, fixpoint and evaluator ones from spans.
   The static effect analysis adds ``analysis.prune.skipped`` /
   ``analysis.prune.scanned`` — per-query counts of members whose scans
   the inferred read set avoided vs. required — and query spans carry

@@ -7,11 +7,11 @@ for the registry's lifetime — one registry per
 :class:`~repro.obs.Observability`, shared by every layer it is threaded
 through (federation, engine, fixpoint, connectors).
 
-Increments are a dict lookup plus an integer add, cheap enough to stay
-on even when tracing is disabled; the hot evaluator loop still guards
-behind ``metrics is not None`` so an engine without observability pays
-nothing. The engine and the fixpoint increment nothing by hand:
-:meth:`MetricsRegistry.fold` derives their metrics from their spans.
+Increments take a lock and feed a window: cheap enough to stay on when
+tracing is disabled, too dear for a probe loop. The engine, the fixpoint
+and the evaluator increment nothing by hand: their spans carry their
+counts (the evaluator's from its per-request context), and
+:meth:`MetricsRegistry.fold` derives their metrics as the spans close.
 
 Beyond the cumulative values, every instrument feeds a sliding window
 (:mod:`repro.obs.window`) so :meth:`MetricsRegistry.snapshot` reports
@@ -220,6 +220,12 @@ class _RequestAccumulator:
         })
 
 
+#: The evaluator's counts, on each span owning a context (see
+#: ``EvalContext.report``); ``reorder.applied`` counts node-memo misses.
+_EVALUATOR = tuple((attribute, f"evaluator.{attribute}") for attribute in (
+    "index.builds", "index.hits", "index.misses", "index.fallbacks",
+    "reorder.applied"))
+
 #: Metrics derived from spans, by span name: ``(counter counting the
 #: span, ((attribute, counter summing it), ...), histogram of the span's
 #: duration in ms)``.
@@ -229,7 +235,7 @@ SPAN_METRICS = {
         (("rounds", "fixpoint.iterations"),
          ("firings", "fixpoint.rule_firings"),
          ("derivations", "fixpoint.derivations"),
-         ("reused_strata", "fixpoint.reused_strata")),
+         ("reused_strata", "fixpoint.reused_strata")) + _EVALUATOR,
         "fixpoint.materialize.ms",
     ),
     "fixpoint.maintain": (
@@ -237,11 +243,12 @@ SPAN_METRICS = {
         (("seeded", "fixpoint.maintain.seeded"),
          ("overdeleted", "fixpoint.maintain.overdeleted"),
          ("rederived", "fixpoint.maintain.rederived"),
-         ("fallbacks", "fixpoint.maintain.fallbacks")),
+         ("fallbacks", "fixpoint.maintain.fallbacks")) + _EVALUATOR,
         None,
     ),
-    "engine.query": (None, (), "engine.query.ms"),
-    "engine.update": ("engine.updates", (), None),
+    "engine.query": (None, _EVALUATOR, "engine.query.ms"),
+    "engine.ask": (None, _EVALUATOR, None),
+    "engine.update": ("engine.updates", _EVALUATOR, None),
 }
 
 
@@ -303,7 +310,8 @@ class MetricsRegistry:
 
     def fold(self, span):
         """Derive the :data:`SPAN_METRICS` of one span that closed
-        without an exception (a failed span feeds nothing)."""
+        without an exception (a failed span feeds nothing, an attribute
+        it lacks adds nothing)."""
         derived = SPAN_METRICS.get(span.name)
         if derived is None:
             return
@@ -312,7 +320,8 @@ class MetricsRegistry:
             self.counter(count).inc()
         attributes = span.attributes
         for attribute, name in sums:
-            self.counter(name).inc(attributes.get(attribute, 0))
+            if attribute in attributes:
+                self.counter(name).inc(attributes[attribute])
         if duration is not None:
             self.histogram(duration).observe(span.duration_ms)
 

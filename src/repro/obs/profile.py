@@ -18,6 +18,14 @@ stratum, and a rendering that reads like a database EXPLAIN plan::
 from __future__ import annotations
 
 
+def index_stats(*counts):
+    """The ``index.<kind>`` entries of ``counts`` (span attributes or
+    profile counters), summed, as ``{"builds": n, "hits": n, "misses": n,
+    "fallbacks": n}``; see ``docs/performance.md`` for how to read them."""
+    return {kind: sum(each.get(f"index.{kind}", 0) for each in counts)
+            for kind in ("builds", "hits", "misses", "fallbacks")}
+
+
 class QueryProfile:
     """The profile of one query/update, built from its root span."""
 
@@ -41,17 +49,10 @@ class QueryProfile:
 
     @property
     def index_stats(self):
-        """Selection-pushdown counters of this query, as a plain dict:
-        ``{"builds": n, "hits": n, "misses": n, "fallbacks": n}``. Zeros
-        when the evaluation never reached a set expression (or profiling
-        was off); see ``docs/performance.md`` for how to read them."""
-        counters = self.counters
-        prefix = "index."
-        stats = {"builds": 0, "hits": 0, "misses": 0, "fallbacks": 0}
-        for kind, count in counters.items():
-            if kind.startswith(prefix):
-                stats[kind[len(prefix):]] = count
-        return stats
+        """:func:`index_stats` summed over every ``engine.query`` span
+        (zeros without a trace)."""
+        spans = self.trace.find_all("engine.query") if self.trace else ()
+        return index_stats(*(span.attributes for span in spans))
 
     @property
     def strata(self):

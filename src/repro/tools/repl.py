@@ -21,11 +21,12 @@ import sys
 from repro.bench.harness import format_table
 from repro.core import ast
 from repro.core.engine import IdlEngine
-from repro.core.explain import explain_query
+from repro.core.explain import explain_query, profile_query
 from repro.core.parser import parse_program
 from repro.core.program import parse_call_shape
 from repro.errors import IdlError
 from repro.obs import InMemoryCollector, Observability, QueryProfile
+from repro.obs.profile import index_stats
 
 HELP = """\
 IDL console commands:
@@ -324,7 +325,7 @@ class IdlRepl:
         if self.federation is not None:
             effects = self.federation.write_footprint(argument)
         else:
-            statement = self.engine._one_query(argument, allow_update=True)
+            statement = self.engine._one_query(argument)
             effects = self.engine.effect_analysis().request_footprint(
                 statement
             )
@@ -352,6 +353,7 @@ class IdlRepl:
             self._profile_update(statement)
             return
         obs = self.engine.obs
+        profile = None
         if obs is not None and obs.enabled:
             collector = InMemoryCollector()
             obs.add_exporter(collector)
@@ -359,29 +361,20 @@ class IdlRepl:
                 self.engine.query(argument)
             finally:
                 obs.exporters.remove(collector)
-            root = collector.last
-            profile = QueryProfile(root)
-            counters = profile.counters
-            answers = root.attributes.get("answers", 0)
-            self.write(f"answers: {answers}")
-            for kind in sorted(counters):
-                self.write(f"  {kind:<12} {counters[kind]}")
-            self.write(self._index_summary(profile.index_stats))
-            self.write(profile.render())
-            return
-        from repro.core.explain import profile_query
-
-        results, counters = profile_query(
-            argument, self.engine.materialized_view()
-        )
-        self.write(f"answers: {len(results)}")
+            profile = QueryProfile(collector.last)
+            answers = collector.last.attributes.get("answers", 0)
+            counters, stats = profile.counters, profile.index_stats
+        else:
+            results, counters = profile_query(
+                argument, self.engine.materialized_view()
+            )
+            answers, stats = len(results), index_stats(counters)
+        self.write(f"answers: {answers}")
         for kind in sorted(counters):
             self.write(f"  {kind:<12} {counters[kind]}")
-        stats = {
-            kind[len("index."):]: count
-            for kind, count in counters.items() if kind.startswith("index.")
-        }
         self.write(self._index_summary(stats))
+        if profile is not None:
+            self.write(profile.render())
 
     def _profile_update(self, statement):
         """Run an update once, reporting what it changed and how the
@@ -438,12 +431,9 @@ class IdlRepl:
     def _index_summary(stats):
         """One line summarizing the selection-pushdown behavior of a
         profiled query (see docs/performance.md)."""
-        if not stats or not any(stats.values()):
+        if not any(stats.values()):
             return "index: (no set expressions probed)"
-        rendered = " ".join(
-            f"{kind}={stats.get(kind, 0)}"
-            for kind in ("builds", "hits", "misses", "fallbacks")
-        )
+        rendered = " ".join(f"{kind}={count}" for kind, count in stats.items())
         return f"index: {rendered}"
 
     # -- statements ------------------------------------------------------------

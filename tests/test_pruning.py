@@ -341,7 +341,7 @@ class TestEffectSets:
         engine.add_database("d", {"r": [{"x": 1}]})
         engine.define_update(".dbU.drop(.x=X) -> .d.r-(.x=X)")
         analysis = EffectAnalysis(engine.program)
-        statement = engine._one_query("?.dbU.drop(.x=1)", allow_update=True)
+        statement = engine._one_query("?.dbU.drop(.x=1)")
         effects = analysis.request_footprint(statement)
         assert effects.writes.dbs == {"d"}
         assert ("d", "r") in effects.writes.patterns

@@ -1,14 +1,22 @@
 """Metrics derived from spans: every tracing setup yields the same
-engine and fixpoint metrics (see ``repro.obs.metrics.SPAN_METRICS``)."""
+engine, fixpoint and evaluator metrics (see
+``repro.obs.metrics.SPAN_METRICS``), and the registry sees nothing but
+those folds."""
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 import pytest
 
 from repro import IdlEngine
+from repro.bench import TC_PROGRAM, chain_universe
+from repro.core import parser
 from repro.errors import IdlError
 from repro.obs import Observability, TraceLimits
-from repro.obs.metrics import SPAN_METRICS
+from repro.obs.metrics import SPAN_METRICS, Counter, MetricsRegistry
+from repro.workloads.stocks import paper_universe
+from tests.test_query_memo import hammer
 
 SETUPS = {
     "tracing-on": lambda: Observability(enabled=True),
@@ -63,11 +71,22 @@ def span_metrics(obs):
 
 
 @pytest.mark.parametrize("setup", sorted(SETUPS))
-def test_span_metrics_match_across_tracing_setups(setup):
+def test_span_metrics_match_across_tracing_setups(setup, monkeypatch):
+    # evaluator.reorder.applied counts goal orders derived, i.e. misses
+    # of the memo on each AST node. Query texts parse to nodes shared by
+    # the whole process (the parse memo), so an engine that reruns
+    # texts an earlier engine ran derives only its own rule bodies'
+    # orders: 9 on this sequence for the first engine, 5 for later
+    # ones. Each run starts from an empty parse memo so that the order
+    # in which setups run cannot change the count.
+    monkeypatch.setattr(parser, "_query_memo", OrderedDict())
     reference = SETUPS["tracing-on"]()
     run_sequence(reference)
+    monkeypatch.setattr(parser, "_query_memo", OrderedDict())
     obs = SETUPS[setup]()
     before, after = run_sequence(obs)
+    rerun = Observability(enabled=False)
+    run_sequence(rerun)  # the same texts again: their orders are memoized
 
     assert after == before == 3  # the rolled-back update counts nothing
     counters, histograms = span_metrics(obs)
@@ -81,3 +100,77 @@ def test_span_metrics_match_across_tracing_setups(setup):
     assert counters["fixpoint.iterations"] > 0
     assert histograms["engine.query.ms"] == 2
     assert histograms["fixpoint.materialize.ms"] == counters["fixpoint.runs"]
+    assert counters["evaluator.index.builds"] == 9
+    assert counters["evaluator.index.hits"] == 16
+    assert counters["evaluator.index.misses"] == 9
+    assert counters["evaluator.index.fallbacks"] == 18
+    assert counters["evaluator.reorder.applied"] == 9
+    assert rerun.metrics.counter_value("evaluator.reorder.applied") == 5
+
+
+def test_disabled_closure_increments_only_its_folded_spans(monkeypatch):
+    """B3's timing guard measures this workload (a 40-node semi-naive
+    closure on disabled observability) against the bare engine. The
+    registry must see no increment beyond the folds of the spans that
+    closed: one per SPAN_METRICS entry of each, never one per probe."""
+    increments, folded = [], []
+    inc, fold = Counter.inc, MetricsRegistry.fold
+
+    def counting_inc(self, amount=1):
+        increments.append(self.name)
+        return inc(self, amount)
+
+    def recording_fold(self, span):
+        folded.append(span.name)
+        return fold(self, span)
+
+    monkeypatch.setattr(Counter, "inc", counting_inc)
+    monkeypatch.setattr(MetricsRegistry, "fold", recording_fold)
+    engine = IdlEngine(universe=chain_universe(40),
+                       obs=Observability(enabled=False))
+    engine.define(TC_PROGRAM)
+    assert len(engine.overlay.get("g").get("tc")) == 40 * 41 // 2
+    entries = 0
+    for name in folded:
+        count, sums, _ = SPAN_METRICS[name]
+        entries += (count is not None) + len(sums)
+    assert folded == ["fixpoint.materialize"]
+    assert len(increments) <= entries, sorted(set(increments))
+    assert "evaluator.index.hits" in increments
+
+
+INDEX_COUNTERS = ("evaluator.index.builds", "evaluator.index.hits",
+                  "evaluator.index.misses", "evaluator.index.fallbacks")
+
+
+@pytest.mark.concurrency
+def test_threads_sharing_one_engine_count_like_a_serial_run():
+    """Four threads query one engine while switching as often as the
+    interpreter allows. Each request counts on a context of its own, so
+    the registry's evaluator.index.* totals equal a serial run's of the
+    same queries exactly. Indexes are built before the threads start."""
+    texts = ["?.euter.r(.stkCode=hp, .date=D, .clsPrice=P)",
+             "?.euter.r(.stkCode=S, .date=D), .chwab.r(.date=D, .S=P)",
+             "?.ource.S(.date=D, .clsPrice=P), P > 60"]
+    calls = 60
+
+    def warmed():
+        obs = Observability(enabled=False)
+        engine = IdlEngine(universe=paper_universe(), obs=obs)
+        for text in texts:
+            engine.query(text)
+        return engine, obs
+
+    serial, serial_obs = warmed()
+    for _ in range(4):
+        for i in range(calls):
+            serial.query(texts[i % len(texts)])
+    shared, shared_obs = warmed()
+    assert hammer(4, calls,
+                  lambda offset, i: shared.query(texts[i % len(texts)])) == []
+    expected = {name: serial_obs.metrics.counter_value(name)
+                for name in INDEX_COUNTERS}
+    assert expected["evaluator.index.hits"] > 4 * calls
+    assert expected["evaluator.index.fallbacks"] > 0
+    assert {name: shared_obs.metrics.counter_value(name)
+            for name in INDEX_COUNTERS} == expected
