@@ -16,7 +16,9 @@ engine performs lazily at query/call time to *install time*:
   exact duplicate statements;
 * **stratification** (IDL010) and **update-program nonrecursion**
   (IDL011) — whole-program, with the negative-cycle trace from
-  :mod:`repro.core.stratify`;
+  :mod:`repro.core.stratify`; clauses are registered through
+  :meth:`~repro.core.program.IdlProgram.add_update_clause`, so IDL011
+  fires on the clause ``define_update`` would reject;
 * **schema resolution** (IDL020, IDL021) — every ground ``.db.rel``
   reference must resolve against the member catalogs or a derived view
   target; constant attribute names are checked against catalog schemas;
@@ -37,6 +39,10 @@ engine performs lazily at query/call time to *install time*:
   declares a ``writes`` footprint, the inferred write effect set
   (:mod:`repro.analysis.effects`) of the covering clauses must stay
   inside the declared databases.
+
+Path references come from :func:`repro.core.rules.conjunct_references`
+and call sites from :meth:`repro.core.program.IdlProgram.resolve_call`,
+the same two decisions the engine and the update executor act on.
 """
 
 from __future__ import annotations
@@ -45,14 +51,14 @@ from itertools import combinations
 
 from repro.analysis.catalog import Catalog
 from repro.analysis.diagnostics import DiagnosticReport
-from repro.analysis.effects import EffectAnalysis, collect_accesses
+from repro.analysis.effects import EffectAnalysis
 from repro.analysis.types import TypeInference
 from repro.core import ast
 from repro.core.binding import body_executable
 from repro.core.parser import parse_program
 from repro.core.pretty import to_source
-from repro.core.program import IdlProgram, analyze_clause, parse_call_shape
-from repro.core.rules import analyze_rule, patterns_overlap
+from repro.core.program import Call, IdlProgram, analyze_clause
+from repro.core.rules import analyze_rule, conjunct_references, patterns_overlap
 from repro.core.safety import goal_order
 from repro.core.stratify import stratify
 from repro.core.terms import Const, Var
@@ -62,6 +68,7 @@ from repro.errors import (
     SafetyError,
     SemanticError,
     StratificationError,
+    UpdateError,
 )
 
 
@@ -161,7 +168,6 @@ class ProgramChecker:
     def check(self, statements, report=None):
         report = report if report is not None else DiagnosticReport()
         self._collect(statements, report)
-        self._check_recursion(report)
         self._check_stratification(report)
         self._check_name_restriction(report)
         self._check_clause_callability(report)
@@ -222,7 +228,13 @@ class ProgramChecker:
         self.program.rules.append(analyzed)
 
     def _collect_clause(self, statement, report):
+        """Register a clause as ``define_update`` would: one that closes
+        a call cycle is reported (IDL011) and left out of the program,
+        though its own body is still checked."""
         try:
+            clause = self.program.add_update_clause(statement)
+        except RecursionError_ as exc:
+            report.add("IDL011", str(exc))
             clause = analyze_clause(statement)
         except SemanticError as exc:
             report.add(
@@ -231,7 +243,6 @@ class ProgramChecker:
             )
             return
         self.clauses.append((clause, statement))
-        self.program.clauses.setdefault(clause.key, []).append(clause)
 
     def _collect_query(self, statement, report):
         self.queries.append(statement)
@@ -244,12 +255,6 @@ class ProgramChecker:
             )
 
     # -- phase 2: whole-program checks ---------------------------------------
-
-    def _check_recursion(self, report):
-        try:
-            self.program._check_nonrecursive()
-        except RecursionError_ as exc:
-            report.add("IDL011", str(exc))
 
     def _check_stratification(self, report):
         try:
@@ -332,44 +337,32 @@ class ProgramChecker:
         for index, (analyzed, statement) in enumerate(
             zip(self.rules, self.rule_stmts)
         ):
-            for conjunct in ast.conjuncts_of(analyzed.body):
+            for conjunct, refs in zip(ast.conjuncts_of(analyzed.body),
+                                      analyzed.conjunct_references):
                 if self._check_conjunct_schema(
-                    conjunct, statement, sources, report
+                    conjunct, refs, statement, sources, report
                 ):
                     self._rules_with_unknown_refs.add(index)
-        for clause, statement in self.clauses:
-            for conjunct in ast.conjuncts_of(clause.body):
-                if self._is_program_call(conjunct):
+        bodies = [(clause.body, statement) for clause, statement in self.clauses]
+        bodies += [(statement.expr, statement) for statement in self.queries]
+        for body, statement in bodies:
+            for conjunct in ast.conjuncts_of(body):
+                if isinstance(self.program.resolve_call(conjunct), Call):
                     continue  # program calls are not relation references
-                self._check_conjunct_schema(conjunct, statement, sources, report)
-        for statement in self.queries:
-            for conjunct in ast.conjuncts_of(statement.expr):
-                if self._is_program_call(conjunct):
-                    continue
-                self._check_conjunct_schema(conjunct, statement, sources, report)
+                self._check_conjunct_schema(
+                    conjunct, conjunct_references(conjunct), statement,
+                    sources, report,
+                )
 
-    def _is_program_call(self, conjunct):
-        """Does this conjunct dispatch to a registered update program?
-
-        ``parse_call_shape`` matches any ``.db.rel(...)`` step, so only
-        shapes that resolve to actual clauses count — everything else is
-        an ordinary relation reference.
-        """
-        shape = parse_call_shape(conjunct)
-        if shape is None:
-            return False
-        db, name, sign, _ = shape
-        clauses, _ = self.program.clauses_for(db, name, sign)
-        return bool(clauses)
-
-    def _check_conjunct_schema(self, conjunct, statement, sources, report):
-        """IDL020/IDL021 for one top-level conjunct; True if IDL020 fired."""
+    def _check_conjunct_schema(self, conjunct, refs, statement, sources,
+                               report):
+        """IDL020/IDL021 for one top-level conjunct and its references;
+        True if IDL020 fired."""
         fired = False
-        refs = []
-        _collect_path_refs(conjunct, (), False, refs)
-        for pattern, under_plus in refs:
-            if under_plus:
+        for ref in refs:
+            if ref.created:
                 continue  # a '+' along the path may create the structure
+            pattern = ref.pattern
             if any(not isinstance(term, Const) for term in pattern[:2]):
                 continue  # higher-order reference: can match anything
             if any(patterns_overlap(pattern, source) for source in sources):
@@ -497,39 +490,28 @@ class ProgramChecker:
             self._check_required_shape(shape, report)
 
     def _check_call_site(self, conjunct, statement, report):
-        shape = parse_call_shape(conjunct)
-        if shape is None:
+        call = self.program.resolve_call(conjunct)
+        loc = conjunct.loc if conjunct.loc else statement.loc
+        if isinstance(call, UpdateError):
+            report.add("IDL030", str(call), loc=loc,
+                       context=to_source(statement))
             return
-        db, name, sign, args_expr = shape
-        clauses, wildcard_name = self.program.clauses_for(db, name, sign)
-        if not clauses:
-            if sign is not None and self.program.is_derived((db, name)):
-                report.add(
-                    "IDL030",
-                    f"view .{db}.{name} is updated here but no {sign!r} "
-                    "view-update program is registered for it",
-                    loc=conjunct.loc if conjunct.loc else statement.loc,
-                    context=to_source(statement),
-                )
-            return
-        given = _call_arg_names(args_expr)
-        if given is None:
-            return  # malformed argument list; the executor reports at run time
-        if not self._covered(clauses, given, wildcard_name is not None):
+        if call is None or call.args is None:
+            return  # a plain access, or arguments the executor rejects
+        given = [attr for attr, _term in call.args]
+        if not self._covered(call.clauses, given):
             report.add(
                 "IDL030",
-                f"call .{db}.{name or '<REL>'}{sign or ''} with bindings "
+                f"call {call.describe()} with bindings "
                 f"({', '.join(sorted(given)) or 'none'}) is not covered by "
                 "any clause; accepted signatures: "
-                + self._signatures_hint(clauses),
-                loc=conjunct.loc if conjunct.loc else statement.loc,
+                + self._signatures_hint(call.clauses),
+                loc=loc,
                 context=to_source(statement),
             )
 
     def _check_required_shape(self, shape, report):
-        clauses, wildcard_name = self.program.clauses_for(
-            shape.db, shape.name, shape.sign
-        )
+        clauses, _ = self.program.clauses_for(shape.db, shape.name, shape.sign)
         origin = f" (required by {shape.origin})" if shape.origin else ""
         if not clauses:
             report.add(
@@ -538,8 +520,7 @@ class ProgramChecker:
                 f"clause{origin}",
             )
             return
-        wildcard = wildcard_name is not None or shape.name is None
-        if not self._covered(clauses, shape.params, wildcard):
+        if not self._covered(clauses, shape.params):
             report.add(
                 "IDL030",
                 f"no clause covers the call shape {shape.describe()}"
@@ -603,21 +584,22 @@ class ProgramChecker:
             )
 
         for conjunct in ast.conjuncts_of(clause.body):
-            key = analysis.call_key(conjunct)
-            if key is not None:
-                _reads, writes = analysis.program_effects(key)
+            call = self.program.resolve_call(conjunct)
+            if isinstance(call, Call):
+                _reads, writes = analysis.program_effects(call.key)
                 for db, rel in sorted(
                     writes, key=lambda p: (p[0] or "", p[1] or "")
                 ):
                     if self._exempt_write(db, rel, shape.writes):
                         continue
                     target = (f".{db or '<DB>'}.{rel or '<REL>'}"
-                              f" (via .{key[0]}.{key[1] or '<REL>'})")
+                              f" (via .{call.db}.{call.key[1] or '<REL>'})")
                     offend(conjunct.loc, target)
                 continue
-            for pattern, written, loc in collect_accesses(conjunct):
-                if not written:
+            for ref in conjunct_references(conjunct):
+                if not ref.written:
                     continue
+                pattern = ref.pattern
                 db = (pattern[0].value
                       if pattern and isinstance(pattern[0], Const) else None)
                 rel = (pattern[1].value
@@ -625,7 +607,7 @@ class ProgramChecker:
                        else None)
                 if self._exempt_write(db, rel, shape.writes):
                     continue
-                offend(loc, f".{db or '<DB>'}.{rel or '<REL>'}")
+                offend(ref.loc, f".{db or '<DB>'}.{rel or '<REL>'}")
 
     def _exempt_write(self, db, rel, allowed):
         """Is a ``(db, rel)`` write inside the declared footprint?
@@ -644,7 +626,7 @@ class ProgramChecker:
             patterns_overlap(path, analyzed.target) for analyzed in self.rules
         )
 
-    def _covered(self, clauses, given, wildcard):
+    def _covered(self, clauses, given):
         """Does some clause accept a call giving exactly ``given`` params?"""
         given = set(given)
         for clause in clauses:
@@ -695,67 +677,3 @@ class ProgramChecker:
                     "+".join(sorted(signature)) if signature else "(none)"
                 )
         return ", ".join(sorted(rendered)) if rendered else "(none)"
-
-
-# ---------------------------------------------------------------------------
-# Reference extraction (schema-aware variant of rules.body_references)
-# ---------------------------------------------------------------------------
-
-
-def _collect_path_refs(expr, prefix, under_plus, out):
-    """Collect ``(pattern, under_plus)`` path references of a conjunct.
-
-    Mirrors :func:`repro.core.rules._collect_refs` but tracks whether a
-    ``+`` sign occurs along the path — such writes may *create* the
-    referenced structure, so they are exempt from unknown-relation
-    checks.
-    """
-    if isinstance(expr, ast.AttrStep):
-        under_plus = under_plus or expr.sign == ast.PLUS
-        pattern = prefix + (expr.attr,)
-        inner = expr.expr
-        while isinstance(inner, ast.NegExpr):
-            inner = inner.inner
-        if isinstance(inner, ast.AttrStep):
-            _collect_path_refs(inner, pattern, under_plus, out)
-        elif isinstance(inner, ast.TupleExpr):
-            recorded = False
-            for conjunct in inner.conjuncts:
-                if isinstance(conjunct, (ast.AttrStep, ast.NegExpr)):
-                    _collect_path_refs(conjunct, pattern, under_plus, out)
-                    recorded = True
-            if not recorded:
-                out.append((pattern, under_plus))
-        elif isinstance(inner, ast.SetExpr):
-            out.append((pattern, under_plus or inner.sign == ast.PLUS))
-        else:
-            out.append((pattern, under_plus))
-        return
-    if isinstance(expr, ast.NegExpr):
-        _collect_path_refs(expr.inner, prefix, under_plus, out)
-        return
-    if isinstance(expr, ast.TupleExpr):
-        for conjunct in expr.conjuncts:
-            _collect_path_refs(conjunct, prefix, under_plus, out)
-        return
-    if prefix:
-        out.append((prefix, under_plus))
-
-
-def _call_arg_names(args_expr):
-    """Attribute names of a ``.name=term`` call argument list, or None."""
-    names = []
-    for item in ast.conjuncts_of(args_expr):
-        if isinstance(item, ast.Epsilon):
-            continue
-        if (
-            not isinstance(item, ast.AttrStep)
-            or item.sign is not None
-            or not isinstance(item.attr, Const)
-            or not isinstance(item.expr, ast.AtomicExpr)
-            or item.expr.op != "="
-            or item.expr.sign is not None
-        ):
-            return None
-        names.append(item.attr.value)
-    return names

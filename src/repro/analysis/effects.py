@@ -6,16 +6,15 @@ program's **footprint** — which ``(database, relation)`` pairs its
 evaluation can ever read or write — is statically derivable from the
 same higher-order binding structure. This module computes it:
 
-* every top-level conjunct contributes *access patterns* — the path
-  references of :func:`repro.core.rules.body_references`, here
-  additionally tagged with whether an update sign (``+``/``-`` on an
-  attribute step, a set expression, or an atomic ``+=``/``-=``) occurs
-  at or below the reference, which makes the access a **write**;
-* a conjunct that dispatches to a registered update program (per
-  :func:`repro.core.program.IdlProgram.clauses_for`, including the
-  wildcard higher-order form ``.dbO.S+(...)``) contributes the callee
-  program's effects instead — closed interprocedurally over the
-  (acyclic, Section 7.1) call graph;
+* every top-level conjunct contributes *access patterns* — its path
+  references (:func:`repro.core.rules.conjunct_references`, the walk
+  the rules, the fixpoint and the checker read too); a reference marked
+  ``written`` (an update sign at or below it) is a **write**;
+* a conjunct that :meth:`repro.core.program.IdlProgram.resolve_call`
+  resolves to a program call — the same decision the update executor
+  acts on, including the higher-order form ``.dbO.S+(...)`` served by a
+  wildcard program — contributes the callee program's effects instead,
+  closed interprocedurally over the (acyclic, Section 7.1) call graph;
 * a *read* of a derived view expands transitively through the rules
   that define it (:meth:`EffectAnalysis.rules_needed`), so a query's
   read set covers everything its materialization would consult.
@@ -49,7 +48,8 @@ from collections import OrderedDict
 
 from repro.core import ast
 from repro.core.parser import QUERY_MEMO_LIMIT
-from repro.core.rules import patterns_overlap
+from repro.core.program import Call
+from repro.core.rules import conjunct_references, patterns_overlap
 from repro.core.terms import Const, Var
 
 #: Bound on :meth:`EffectAnalysis.query_footprint`'s per-statement memo
@@ -132,54 +132,8 @@ class Effects:
 
 
 # ---------------------------------------------------------------------------
-# Access-pattern extraction
+# Patterns
 # ---------------------------------------------------------------------------
-
-
-def collect_accesses(expr, prefix=(), signed=False, out=None):
-    """Collect ``(pattern, written, loc)`` accesses of one conjunct.
-
-    ``pattern`` is a tuple of Const/Var attribute terms descending from
-    the universe (mirroring :func:`repro.core.rules._collect_refs`);
-    ``written`` is True when an update sign occurs at or below the
-    reference; ``loc`` is the position of the innermost step that
-    anchored the access (for diagnostics).
-    """
-    if out is None:
-        out = []
-    if isinstance(expr, ast.AttrStep):
-        signed = signed or expr.sign is not None
-        pattern = prefix + (expr.attr,)
-        loc = expr.loc
-        inner = expr.expr
-        while isinstance(inner, ast.NegExpr):
-            inner = inner.inner
-        if isinstance(inner, ast.AttrStep):
-            collect_accesses(inner, pattern, signed, out)
-        elif isinstance(inner, ast.TupleExpr):
-            recorded = False
-            for conjunct in inner.conjuncts:
-                if isinstance(conjunct, (ast.AttrStep, ast.NegExpr)):
-                    collect_accesses(conjunct, pattern, signed, out)
-                    recorded = True
-            if not recorded:
-                out.append((pattern, signed or inner.has_update(), loc))
-        else:
-            # Set expressions and atomics terminate the path; signs
-            # inside them (``+(exp)``, ``.S-=X``, ``+.S=P``) are writes
-            # of the relation the path addressed.
-            out.append((pattern, signed or inner.has_update(), loc))
-        return out
-    if isinstance(expr, ast.NegExpr):
-        collect_accesses(expr.inner, prefix, signed, out)
-        return out
-    if isinstance(expr, ast.TupleExpr):
-        for conjunct in expr.conjuncts:
-            collect_accesses(conjunct, prefix, signed, out)
-        return out
-    if prefix:
-        out.append((prefix, signed, None))
-    return out
 
 
 def _normalize(pattern):
@@ -226,38 +180,6 @@ class EffectAnalysis:
 
     # -- program calls ------------------------------------------------------
 
-    def call_key(self, conjunct):
-        """The update-program key a conjunct dispatches to, or None.
-
-        Unlike :func:`repro.core.program.parse_call_shape` this also
-        recognizes the higher-order call form ``.dbO.S+(...)`` (variable
-        relation name resolved by a wildcard clause). Only shapes that
-        resolve to registered clauses count — anything else is a plain
-        relation access.
-        """
-        if not isinstance(conjunct, ast.AttrStep) or conjunct.sign is not None:
-            return None
-        if not isinstance(conjunct.attr, Const):
-            return None
-        inner = conjunct.expr
-        if not isinstance(inner, ast.AttrStep) or inner.sign is not None:
-            return None
-        db = conjunct.attr.value
-        name = inner.attr.value if isinstance(inner.attr, Const) else None
-        args = inner.expr
-        if isinstance(args, ast.SetExpr):
-            sign = args.sign
-        elif isinstance(args, ast.Epsilon):
-            sign = None
-        else:
-            return None
-        clauses, wildcard_name = self.program.clauses_for(db, name, sign)
-        if not clauses:
-            return None
-        if name is not None and wildcard_name is not None:
-            return (db, None, sign)
-        return (db, name, sign)
-
     def program_effects(self, key):
         """``(reads, writes)`` frozensets of one update program,
         closed over the programs it calls. Recursive programs (already
@@ -293,19 +215,19 @@ class EffectAnalysis:
         expression, with program call sites resolved."""
         reads, writes = set(), set()
         for conjunct in ast.conjuncts_of(expr):
-            key = self.call_key(conjunct)
-            if key is not None:
-                callee_reads, callee_writes = self.program_effects(key)
+            call = self.program.resolve_call(conjunct)
+            if isinstance(call, Call):
+                callee_reads, callee_writes = self.program_effects(call.key)
                 reads |= callee_reads
                 writes |= callee_writes
                 # Dispatch itself consults the called key (wildcard
                 # dispatch enumerates the database's relation names).
-                reads.add((key[0], key[1]))
+                reads.add(call.key[:2])
                 continue
-            for pattern, written, _loc in collect_accesses(conjunct):
-                normalized = _normalize(pattern)
+            for ref in conjunct_references(conjunct):
+                normalized = _normalize(ref.pattern)
                 reads.add(normalized)
-                if written:
+                if ref.written:
                     writes.add(normalized)
         return reads, writes
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.core import ast
 from repro.core.parser import parse_query
 from repro.core.pretty import to_source
-from repro.core.rules import body_references
+from repro.core.rules import conjunct_references
 from repro.core.safety import goal_order, produced_vars
 from repro.core.terms import Var
 from repro.errors import SafetyError
@@ -125,10 +125,10 @@ def explain_query(source, bound=frozenset()):
         reads = [
             "." + ".".join(
                 term.name if isinstance(term, Var) else str(term.value)
-                for term in pattern
+                for term in ref.pattern
             )
-            + ("" if positive else " (negated)")
-            for pattern, positive in body_references(ast.TupleExpr([conjunct]))
+            + ("" if ref.positive else " (negated)")
+            for ref in conjunct_references(conjunct)
         ]
         schedule.append(
             ConjunctPlan(

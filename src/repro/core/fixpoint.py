@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from repro.core import ast
 from repro.core.rules import (
-    body_references,
     derive_once,
     make_true,
     patterns_overlap,
@@ -327,12 +326,13 @@ def _delta_variants(analyzed, stratum_targets):
         return None
 
     conjuncts = ast.conjuncts_of(analyzed.body)
-    recursive_positions = []
-    for index, conjunct in enumerate(conjuncts):
-        if not isinstance(conjunct, ast.AttrStep):
-            continue
-        if _references_targets(conjunct, stratum_targets):
-            recursive_positions.append(index)
+    recursive_positions = [
+        index
+        for index, (conjunct, refs) in enumerate(
+            zip(conjuncts, analyzed.conjunct_references))
+        if isinstance(conjunct, ast.AttrStep)
+        and _references_targets(refs, stratum_targets)
+    ]
 
     if not recursive_positions:
         # References exist (the stratum is recursive) but none are
@@ -362,12 +362,11 @@ def _redirected_body(analyzed, conjuncts, position):
     return body
 
 
-def _references_targets(conjunct, targets):
-    for pattern, _ in body_references(ast.TupleExpr([conjunct])):
-        for target in targets:
-            if patterns_overlap(pattern, target):
-                return True
-    return False
+def _references_targets(refs, targets):
+    return any(
+        patterns_overlap(ref.pattern, target)
+        for ref in refs for target in targets
+    )
 
 
 def _has_facts(overlay):
@@ -462,8 +461,8 @@ def maintenance_plan(stratum, changed_patterns):
                 patterns_overlap(pattern, changed) for changed in patterns
             ):
                 return None, "negation"
-        for conjunct in ast.conjuncts_of(analyzed.body):
-            if _conjunct_spans_relations(conjunct, patterns):
+        for refs in analyzed.conjunct_references:
+            if _conjunct_spans_relations(refs, patterns):
                 return None, "multi-relation-conjunct"
         rule_variants = _delta_variants(analyzed, patterns)
         if rule_variants is None:
@@ -477,14 +476,15 @@ def maintenance_plan(stratum, changed_patterns):
     return variants, None
 
 
-def _conjunct_spans_relations(conjunct, changed):
-    """Does this conjunct read several distinct relations, one changed?
+def _conjunct_spans_relations(refs, changed):
+    """Does a conjunct (its references ``refs``) read several distinct
+    relations, one changed?
 
     Redirecting such a conjunct at the delta would require *all* its
     relations to appear there, missing derivations that pair a new fact
     with an old one — so the plan refuses it.
     """
-    refs = [pattern for pattern, _ in body_references(ast.TupleExpr([conjunct]))]
+    refs = [ref.pattern for ref in refs]
     if not any(
         patterns_overlap(ref, pattern) for ref in refs for pattern in changed
     ):

@@ -11,7 +11,13 @@ An :class:`IdlProgram` aggregates the schema administrator's artifacts:
 
 Nonrecursion of update programs (Section 7.1: "we disallow any recursive
 call to update program") is enforced at registration time over the call
-graph.
+graph: a text of clauses is checked as a whole and registered only when
+the graph it would make is acyclic.
+
+:meth:`IdlProgram.resolve_call` is the one decision "is this conjunct a
+program call, and to which clauses": the update executor, the effect
+analysis, the checker, the nonrecursion check and the console all ask
+it, so they agree on what a request runs.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from repro.core import ast
 from repro.core.parser import parse_program
 from repro.core.rules import analyze_rule
 from repro.core.terms import Const, Var
-from repro.errors import RecursionError_, SemanticError
+from repro.errors import RecursionError_, SemanticError, UpdateError
 
 
 class ProgramClause:
@@ -136,6 +142,41 @@ def analyze_clause(clause):
     )
 
 
+class Call:
+    """A conjunct that dispatches to update program clauses.
+
+    ``name`` is the called program's constant name, or the :class:`Var`
+    of a name-variable call ``.dbO.S+(...)``, whose value at run time
+    is the relation name. ``args`` is a tuple of ``(attr, term)`` pairs,
+    or None when an item is not ``.name=term`` (``bad_arg`` is then the
+    first such item). ``wildcard`` is True when the clauses are the
+    database's wildcard ``(db, None, sign)`` program, which receives the
+    relation name as its ``__relation__`` parameter.
+    """
+
+    __slots__ = ("db", "name", "sign", "args", "bad_arg", "clauses",
+                 "wildcard")
+
+    def __init__(self, db, name, sign, args, bad_arg, clauses, wildcard):
+        self.db = db
+        self.name = name
+        self.sign = sign
+        self.args = args
+        self.bad_arg = bad_arg
+        self.clauses = clauses
+        self.wildcard = wildcard
+
+    @property
+    def key(self):
+        """The program key the call dispatches to."""
+        return (self.db, None if self.wildcard else self.name, self.sign)
+
+    def describe(self):
+        """``.db.name±`` as written at the call site."""
+        name = self.name.name if isinstance(self.name, Var) else self.name
+        return f".{self.db}.{name}{self.sign or ''}"
+
+
 class IdlProgram:
     """A mutable collection of rules and update program clauses."""
 
@@ -160,19 +201,28 @@ class IdlProgram:
         return analyzed
 
     def add_update_clause(self, clause):
-        """Register an update program clause (statement or source text)."""
-        if isinstance(clause, str):
-            statements = parse_program(clause)
-            added = []
-            for statement in statements:
-                if not isinstance(statement, ast.UpdateClause):
-                    raise SemanticError(f"not an update clause: {statement!r}")
-                added.append(self.add_update_clause(statement))
-            return added if len(added) != 1 else added[0]
-        analyzed = analyze_clause(clause)
-        self.clauses.setdefault(analyzed.key, []).append(analyzed)
-        self._check_nonrecursive()
-        return analyzed
+        """Register update program clauses (a statement or source text).
+
+        All or nothing: every clause of a text is analyzed, and the call
+        graph they would make with the registered programs is checked
+        once, before any of them is registered.
+        """
+        statements = parse_program(clause) if isinstance(clause, str) else [clause]
+        for statement in statements:
+            if not isinstance(statement, ast.UpdateClause):
+                raise SemanticError(f"not an update clause: {statement!r}")
+        added = [analyze_clause(statement) for statement in statements]
+        candidate = IdlProgram()
+        candidate.rules = self.rules
+        candidate.clauses = {
+            key: list(clause_list) for key, clause_list in self.clauses.items()
+        }
+        for analyzed in added:
+            candidate.clauses.setdefault(analyzed.key, []).append(analyzed)
+        candidate._check_nonrecursive()
+        for analyzed in added:
+            self.clauses.setdefault(analyzed.key, []).append(analyzed)
+        return added if len(added) != 1 else added[0]
 
     def load(self, source):
         """Load a program text of rules and update clauses."""
@@ -253,24 +303,68 @@ class IdlProgram:
         """Keys of update programs a body's conjuncts may call."""
         called = []
         for conjunct in ast.conjuncts_of(body):
-            parsed = parse_call_shape(conjunct)
-            if parsed is None:
-                continue
-            db, name, sign, _ = parsed
-            if (db, name, sign) in self.clauses:
-                called.append((db, name, sign))
-            elif sign is not None and (db, None, sign) in self.clauses:
-                called.append((db, None, sign))
+            resolved = self.resolve_call(conjunct)
+            if isinstance(resolved, Call):
+                called.append(resolved.key)
         return called
 
+    # -- call resolution -----------------------------------------------------
 
-def parse_call_shape(conjunct):
-    """Deconstruct a conjunct shaped like a program call.
+    def resolve_call(self, conjunct):
+        """What a top-level conjunct does to the update programs.
 
-    Returns ``(db, name, sign, args_expr)`` for ``.db.name(args)`` /
-    ``.db.name+(args)`` shapes with constant db and name, else None.
-    ``sign`` is the sign of the argument set expression.
-    """
+        Returns a :class:`Call` when the conjunct dispatches to clauses:
+        ``.db.name(args)``/``.db.name±(args)`` with registered clauses
+        for ``(db, name, sign)``, else a signed call served by the
+        database's wildcard ``(db, None, sign)`` clauses, which a
+        name-variable call ``.db.S±(args)`` always uses. Returns an
+        (unraised) :class:`UpdateError` for a signed access to a derived
+        view that no program serves: updates are legal on extensional
+        objects only (Section 7.1). Returns None for a plain access.
+        """
+        shape = _call_shape(conjunct)
+        if shape is not None:
+            db, name, sign, args_expr = shape
+            if isinstance(name, Var):
+                clauses = self.clauses.get((db, None, sign)) if sign else None
+                wildcard = True
+            else:
+                clauses, wildcard_name = self.clauses_for(db, name, sign)
+                wildcard = wildcard_name is not None
+            if clauses:
+                args, bad_arg = _call_args(args_expr)
+                return Call(db, name, sign, args, bad_arg, clauses, wildcard)
+            if sign is not None and not isinstance(name, Var) and (
+                    self.is_derived((db, name))):
+                return UpdateError(
+                    f"view .{db}.{name} is updated here but no {sign!r} "
+                    "view-update program is registered for it"
+                )
+        if conjunct.has_update() and self._addresses_view(conjunct):
+            return UpdateError(
+                "updates are only legal on extensional objects; define "
+                "a view-update program for this derived view"
+            )
+        return None
+
+    def _addresses_view(self, conjunct):
+        """Do the conjunct's first two (constant, unsigned) steps name a
+        derived relation?"""
+        path = []
+        node = conjunct
+        while isinstance(node, ast.AttrStep) and isinstance(node.attr, Const):
+            if node.sign is not None:
+                break
+            path.append(node.attr.value)
+            if len(path) >= 2:
+                break
+            node = node.expr
+        return len(path) >= 2 and self.is_derived(tuple(path))
+
+
+def _call_shape(conjunct):
+    """``(db, name, sign, args_expr)`` of a call-shaped conjunct, with
+    ``name`` a constant or a name :class:`Var`; else None."""
     if not isinstance(conjunct, ast.AttrStep) or conjunct.sign is not None:
         return None
     if not isinstance(conjunct.attr, Const):
@@ -278,11 +372,44 @@ def parse_call_shape(conjunct):
     inner = conjunct.expr
     if not isinstance(inner, ast.AttrStep) or inner.sign is not None:
         return None
-    if not isinstance(inner.attr, Const):
-        return None
+    name = inner.attr.value if isinstance(inner.attr, Const) else inner.attr
     args = inner.expr
     if isinstance(args, ast.SetExpr):
-        return (conjunct.attr.value, inner.attr.value, args.sign, args.inner)
+        return (conjunct.attr.value, name, args.sign, args.inner)
     if isinstance(args, ast.Epsilon):
-        return (conjunct.attr.value, inner.attr.value, None, ast.TupleExpr([]))
+        return (conjunct.attr.value, name, None, ast.TupleExpr([]))
     return None
+
+
+def _call_args(args_expr):
+    """``((attr, term), ...), None`` for a ``.name=term`` argument list;
+    ``None, item`` naming the first item of another shape."""
+    args = []
+    for item in ast.conjuncts_of(args_expr):
+        if isinstance(item, ast.Epsilon):
+            continue
+        if (
+            not isinstance(item, ast.AttrStep)
+            or item.sign is not None
+            or not isinstance(item.attr, Const)
+            or not isinstance(item.expr, ast.AtomicExpr)
+            or item.expr.op != "="
+            or item.expr.sign is not None
+        ):
+            return None, item
+        args.append((item.attr.value, item.expr.term))
+    return tuple(args), None
+
+
+def parse_call_shape(conjunct):
+    """Deconstruct a conjunct shaped like a program call.
+
+    Returns ``(db, name, sign, args_expr)`` for ``.db.name(args)`` /
+    ``.db.name+(args)`` shapes with constant db and name, else None.
+    ``sign`` is the sign of the argument set expression. Whether the
+    shape is a call is :meth:`IdlProgram.resolve_call`'s decision.
+    """
+    shape = _call_shape(conjunct)
+    if shape is None or isinstance(shape[1], Var):
+        return None
+    return shape

@@ -11,9 +11,13 @@ This module provides:
 * :func:`analyze_rule` — structural validation and extraction of the
   head *target pattern* (the attribute-term path down to the defined
   relation) and the constructor expression;
-* :func:`body_references` — the (possibly higher-order) target patterns
-  the body reads, each tagged positive or negative, used by
-  stratification;
+* :func:`conjunct_references` — the one walk over a conjunct's
+  universe paths. Each :class:`Reference` says whether the path is read
+  under negation, written (a sign at or below it) or possibly created
+  (a ``+`` along it). Stratification, fixpoint planning, ``explain``,
+  the effect analysis and the checker all read these records;
+  :func:`analyze_rule` stores them per body conjunct, and
+  :func:`body_references` is their flat ``(pattern, positive)`` view;
 * :func:`make_true` — insert ``head σ`` into an overlay universe.
 
 Make-true semantics. The paper defines making the head true recursively
@@ -45,15 +49,21 @@ from repro.objects.tuple import TupleObject
 class AnalyzedRule:
     """A validated rule with its extracted head structure."""
 
-    __slots__ = ("rule", "target", "constructor", "merge_on", "references",
-                 "delta_bodies")
+    __slots__ = ("rule", "target", "constructor", "merge_on",
+                 "conjunct_references", "references", "delta_bodies")
 
-    def __init__(self, rule, target, constructor, merge_on, references):
+    def __init__(self, rule, target, constructor, merge_on,
+                 conjunct_references):
         self.rule = rule
         self.target = target  # tuple of Const/Var terms (path to relation)
         self.constructor = constructor  # element constructor expr (or None)
         self.merge_on = merge_on  # tuple of attribute names, possibly empty
-        self.references = references  # list of (pattern, positive: bool)
+        # one tuple of References per body conjunct, in body order
+        self.conjunct_references = conjunct_references
+        self.references = [  # list of (pattern, positive: bool)
+            (ref.pattern, ref.positive)
+            for refs in conjunct_references for ref in refs
+        ]
         # conjunct position -> body reading that conjunct from the delta,
         # built once by repro.core.fixpoint so every later evaluation of
         # the same body hits the evaluator's identity-keyed caches
@@ -112,7 +122,10 @@ def analyze_rule(rule, merge_on=()):
                     f"merge_on attribute {key!r} does not appear in the head"
                 )
 
-    references = body_references(rule.body)
+    references = tuple(
+        tuple(conjunct_references(conjunct))
+        for conjunct in ast.conjuncts_of(rule.body)
+    )
     return AnalyzedRule(rule, target, constructor, tuple(merge_on), references)
 
 
@@ -182,55 +195,98 @@ def _constructor_attr_names(constructor):
 
 
 # ---------------------------------------------------------------------------
-# Body references (for stratification)
+# Path references: the one walk
 # ---------------------------------------------------------------------------
 
 
-def body_references(body):
-    """Collect the universe paths the body reads.
+class Reference:
+    """One universe path a top-level conjunct reads or writes.
 
-    Returns a list of ``(pattern, positive)`` pairs, where a pattern is a
-    tuple of Const/Var terms descending from the universe. Collection
-    stops at set expressions (their contents address data, not catalog
-    structure). Patterns under negation are tagged negative.
+    ``pattern`` is a tuple of Const/Var attribute terms descending from
+    the universe; ``positive`` is False when the path is read under
+    negation; ``written`` is True when an update sign (``+``/``-`` on
+    an attribute step, a set expression, or an atomic ``+=``/``-=``)
+    occurs at or below the path; ``created`` is True when a ``+`` along
+    the path, or a ``+``-signed set ending it, may create the structure
+    it addresses; ``loc`` is the position of the innermost step.
+    """
+
+    __slots__ = ("pattern", "positive", "written", "created", "loc")
+
+    def __init__(self, pattern, positive, written, created, loc):
+        self.pattern = pattern
+        self.positive = positive
+        self.written = written
+        self.created = created
+        self.loc = loc
+
+
+def conjunct_references(conjunct):
+    """The :class:`Reference` records of one top-level conjunct.
+
+    Collection stops at set expressions (their contents address data,
+    not catalog structure) and at atomics; a tuple of nested steps
+    contributes one reference per step.
     """
     references = []
-    for conjunct in ast.conjuncts_of(body):
-        _collect_refs(conjunct, (), True, references)
+    _collect_refs(conjunct, (), True, False, False, references)
     return references
 
 
-def _collect_refs(expr, prefix, positive, out):
+def body_references(body):
+    """``(pattern, positive)`` pairs of the universe paths a body reads,
+    over every top-level conjunct (see :func:`conjunct_references`)."""
+    return [
+        (ref.pattern, ref.positive)
+        for conjunct in ast.conjuncts_of(body)
+        for ref in conjunct_references(conjunct)
+    ]
+
+
+def _collect_refs(expr, prefix, positive, signed, plus, out):
     if isinstance(expr, ast.AttrStep):
         pattern = prefix + (expr.attr,)
+        signed = signed or expr.sign is not None
+        plus = plus or expr.sign == ast.PLUS
         inner = expr.expr
         while isinstance(inner, ast.NegExpr):
             positive = not positive  # e.g. ``.dbI.p~( ... )``
             inner = inner.inner
         if isinstance(inner, ast.AttrStep):
-            _collect_refs(inner, pattern, positive, out)
-        elif isinstance(inner, ast.TupleExpr):
-            recorded = False
-            for conjunct in inner.conjuncts:
-                if isinstance(conjunct, (ast.AttrStep, ast.NegExpr)):
-                    _collect_refs(conjunct, pattern, positive, out)
-                    recorded = True
-            if not recorded:
-                out.append((pattern, positive))
-        else:
-            out.append((pattern, positive))
+            _collect_refs(inner, pattern, positive, signed, plus, out)
+            return
+        if isinstance(inner, ast.TupleExpr):
+            nested = [
+                conjunct for conjunct in inner.conjuncts
+                if isinstance(conjunct, (ast.AttrStep, ast.NegExpr))
+            ]
+            if nested:
+                for conjunct in nested:
+                    _collect_refs(conjunct, pattern, positive, signed, plus,
+                                  out)
+                return
+        # The path ends here; signs inside the end (``+(exp)``,
+        # ``.S-=X``) write the relation the path addressed.
+        out.append(Reference(
+            pattern,
+            positive,
+            signed or inner.has_update(),
+            plus or (isinstance(inner, ast.SetExpr)
+                     and inner.sign == ast.PLUS),
+            expr.loc,
+        ))
         return
     if isinstance(expr, ast.NegExpr):
-        _collect_refs(expr.inner, prefix, False, out)
+        _collect_refs(expr.inner, prefix, False, signed, plus, out)
         return
     if isinstance(expr, ast.TupleExpr):
         for conjunct in expr.conjuncts:
-            _collect_refs(conjunct, prefix, positive, out)
+            _collect_refs(conjunct, prefix, positive, signed, plus, out)
         return
     # Atomic / constraint / epsilon conjuncts reference no catalog path,
     # but a bare expression at a prefix still reads that prefix.
     if prefix:
-        out.append((prefix, positive))
+        out.append(Reference(prefix, positive, signed, plus, None))
 
 
 def patterns_overlap(reference, target):

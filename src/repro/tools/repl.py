@@ -23,7 +23,7 @@ from repro.core import ast
 from repro.core.engine import IdlEngine
 from repro.core.explain import explain_query, profile_query
 from repro.core.parser import parse_program
-from repro.core.program import parse_call_shape
+from repro.core.program import Call
 from repro.errors import IdlError
 from repro.obs import InMemoryCollector, Observability, QueryProfile
 from repro.obs.profile import index_stats
@@ -453,15 +453,10 @@ class IdlRepl:
                 self.write(f"cannot execute {statement!r}")
 
     def _is_update(self, statement):
-        if statement.is_update_request:
-            return True
-        for conjunct in ast.conjuncts_of(statement.expr):
-            shape = parse_call_shape(conjunct)
-            if shape is not None:
-                clauses, _ = self.engine.program.clauses_for(*shape[:3])
-                if clauses:
-                    return True
-        return False
+        return statement.is_update_request or any(
+            isinstance(self.engine.program.resolve_call(conjunct), Call)
+            for conjunct in ast.conjuncts_of(statement.expr)
+        )
 
     def _query_or_update(self, statement):
         if self._is_update(statement):

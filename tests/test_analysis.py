@@ -159,6 +159,16 @@ def test_idl011_fires_on_mutual_program_recursion():
     assert "IDL011" in codes_of(source)
 
 
+def test_idl011_fires_on_recursion_through_a_name_variable():
+    # ``.dbO.S+(...)`` with S bound dispatches through the wildcard
+    # program, so this pair calls itself.
+    source = "\n".join([
+        ".dbO.S+(.date=D) -> .dbU.ins(.stk=S, .date=D)",
+        ".dbU.ins(.stk=S, .date=D) -> .dbO.S+(.date=D)",
+    ])
+    assert "IDL011" in codes_of(source)
+
+
 def test_idl011_quiet_on_acyclic_calls():
     source = "\n".join([
         ".dbU.a(.x=X) -> .dbU.b(.x=X)",
@@ -267,6 +277,17 @@ def test_idl030_fires_on_underbound_call_site():
         ".dbU.touch(.stk=S) -> .dbU.insStk(.stk=S)",
     ])
     assert "IDL030" in codes_of(source)
+
+
+def test_idl030_fires_on_signed_access_inside_a_view():
+    # The engine rejects this update; the checker reports the same error.
+    source = "\n".join([
+        ".dbV.p(.k=K, .x=X) <- .euter.r(.stkCode=K, .clsPrice=X)",
+        "?.dbV.p(.k=hp, .x+=2)",
+    ])
+    report = check_source(source)
+    assert report.codes == ["IDL030"]
+    assert "extensional" in report.by_code("IDL030")[0].message
 
 
 def test_idl030_quiet_on_covered_shape():

@@ -146,3 +146,69 @@ class TestViewUpdateDispatch:
         result = engine.update("?.views.mirror-(.k=1)")
         assert result.succeeded
         assert engine.ask("?.d.log(.via=mirror)")
+
+
+class TestNameVariableCalls:
+    """``.db.S±(...)`` with a name variable dispatches through the
+    database's wildcard program, as its effect analysis says."""
+
+    @staticmethod
+    def member_rows(text):
+        from repro.bench import stock_federation
+        from repro.multidb.adapters import universe_rows
+
+        federation, _workload = stock_federation(3, 3)
+        result = federation.update(text)
+        rows = {
+            member: universe_rows(federation.engine.universe, member)
+            for member in ("euter", "chwab", "ource")
+        }
+        return result, rows
+
+    def test_bound_name_dispatches_like_the_constant_form(self):
+        result, rows = self.member_rows(
+            "?.euter.r(.stkCode=S, .date=3/1/85), S=hp, "
+            ".dbO.S+(.date=9/8/99, .clsPrice=2)"
+        )
+        constant, constant_rows = self.member_rows(
+            "?.dbO.hp+(.date=9/8/99, .clsPrice=2)"
+        )
+        assert result.succeeded and result.inserted == constant.inserted > 0
+        assert rows == constant_rows
+
+    def test_unbound_name_raises(self, engine):
+        engine.add_database("views", {})
+        engine.define(".views.S(.k=K) <- .d.r(.k=K, .v=V), S = mirror")
+        engine.define_update(".views.S-(.k=K) -> .d.r-(.k=K)")
+        with pytest.raises(BindingError, match=r"\.views\.S-"):
+            engine.update("?.views.S-(.k=1)")
+
+    def test_recursion_through_a_name_variable_is_rejected(self, engine):
+        from repro.errors import RecursionError_
+
+        engine.define_update(".u.ins(.s=S, .k=K) -> .views.S+(.k=K)")
+        with pytest.raises(RecursionError_):
+            engine.define_update(".views.S+(.k=K) -> .u.ins(.s=S, .k=K)")
+        assert engine.program.program_names() == [".u.ins"]
+
+
+class TestRejectedDefinitions:
+    def test_rejected_recursive_clause_leaves_the_program_as_it_was(
+            self, engine):
+        from repro.errors import RecursionError_
+
+        with pytest.raises(RecursionError_):
+            engine.define_update(".u.a(.x=X) -> .u.a(.x=X)")
+        assert engine.program.program_names() == []
+        engine.define_update(".u.b(.k=K) -> .d.r-(.k=K)")
+        assert engine.program.program_names() == [".u.b"]
+
+    def test_a_text_is_all_or_nothing(self, engine):
+        from repro.errors import RecursionError_
+
+        with pytest.raises(RecursionError_):
+            engine.define_update(
+                ".u.a(.x=X) -> .u.b(.x=X)\n"
+                ".u.b(.x=X) -> .u.a(.x=X)"
+            )
+        assert engine.program.program_names() == []
